@@ -2436,13 +2436,14 @@ fn run_validated(
         overload_max_level: 0,
     };
 
-    // Pre-size the queue for everything scheduled up front (issues or
-    // stream seeds, fault and net-fault wake-ups, one sleep check per
-    // disk) so the hot loop starts past the heap's growth phase.
+    // Pre-size the heap for everything it holds from the start (fault and
+    // net-fault wake-ups, one sleep check per disk, closed-loop stream
+    // seeds) so the hot loop starts past its growth phase. Open-loop
+    // arrivals bypass the heap: the arrival lane sizes itself below.
     let seeded = if closed_loop {
         streams.min(n_requests)
     } else {
-        n_requests
+        0
     };
     let initial_events =
         seeded + fault_times.len() + net_times.len() + cluster.node_count() * max_disks;
@@ -2477,7 +2478,9 @@ fn run_validated(
         }
     }
     // Step 5: clients submit. Open loop issues every request at its trace
-    // time; closed loop seeds one request per stream and chains the rest
+    // time through the queue's presorted arrival lane (`Trace::validate`
+    // rejected out-of-order records), so the heap holds only work in
+    // flight; closed loop seeds one request per stream and chains the rest
     // off completions.
     if closed_loop {
         let seed = streams.min(trace.len());
@@ -2488,11 +2491,13 @@ fn run_validated(
         }
         engine.model_mut().next_issue = seed;
     } else {
-        for (i, r) in trace.records.iter().enumerate() {
-            engine
-                .queue_mut()
-                .schedule(r.at + warmup, Ev::Issue(i as u32));
-        }
+        engine.queue_mut().schedule_sorted(
+            trace
+                .records
+                .iter()
+                .enumerate()
+                .map(|(i, r)| (r.at + warmup, Ev::Issue(i as u32))),
+        );
         engine.model_mut().next_issue = trace.len();
     }
 

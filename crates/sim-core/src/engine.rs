@@ -99,11 +99,7 @@ impl<M: Model> Engine<M> {
     /// Runs until the queue drains or the next event would fire after
     /// `horizon`. Events at exactly `horizon` still fire.
     pub fn run_until(&mut self, horizon: SimTime) -> SimTime {
-        while let Some(t) = self.queue.peek_time() {
-            if t > horizon {
-                break;
-            }
-            let (now, ev) = self.queue.pop().expect("peeked event vanished");
+        while let Some((now, ev)) = self.queue.pop_until(horizon) {
             if let Some(obs) = &mut self.observer {
                 obs(now, &ev);
             }

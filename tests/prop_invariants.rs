@@ -244,6 +244,36 @@ proptest! {
     }
 }
 
+/// One step of an event-queue interleaving. Offsets are microseconds
+/// after the queue's clock.
+#[derive(Debug, Clone)]
+enum QueueOp {
+    Schedule(u64),
+    Batch(Vec<u64>),
+    Pop,
+    RunUntil(u64),
+}
+
+fn arb_queue_op() -> impl Strategy<Value = QueueOp> {
+    let sorted = |offsets: Vec<u64>| {
+        let mut offsets = offsets;
+        offsets.sort_unstable();
+        QueueOp::Batch(offsets)
+    };
+    prop_oneof![
+        (0u64..1_000).prop_map(QueueOp::Schedule),
+        // Heavy ties: few distinct timestamps.
+        (0u64..3).prop_map(QueueOp::Schedule),
+        proptest::collection::vec(0u64..1_000, 0..40).prop_map(sorted),
+        proptest::collection::vec(0u64..3, 0..40).prop_map(sorted),
+        proptest::collection::vec(0u64..1_000, 0..40).prop_map(QueueOp::Batch),
+        proptest::collection::vec(0u64..3, 0..40).prop_map(QueueOp::Batch),
+        Just(QueueOp::Pop),
+        Just(QueueOp::Pop),
+        (0u64..500).prop_map(QueueOp::RunUntil),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -262,6 +292,64 @@ proptest! {
             prop_assert!(t1 < t2 || (t1 == t2 && i1 < i2));
         }
         prop_assert_eq!(popped.len(), times.len());
+    }
+
+    /// A queue fed through the presorted arrival lane pops exactly the
+    /// same `(time, payload)` sequence as one fed only through
+    /// `schedule`, across random interleavings of single schedules,
+    /// sorted and unsorted batches, pops and `pop_until` horizons, with
+    /// heavy timestamp ties.
+    #[test]
+    fn event_queue_lane_matches_heap_only(ops in proptest::collection::vec(arb_queue_op(), 1..60)) {
+        use sim_core::{EventQueue, SimTime};
+        let mut lane: EventQueue<u32> = EventQueue::new();
+        let mut reference: EventQueue<u32> = EventQueue::new();
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        let mut next_id = 0u32;
+        let mut stamp = |now: SimTime, offsets: &[u64]| -> Vec<(SimTime, u32)> {
+            offsets
+                .iter()
+                .map(|&dt| {
+                    next_id += 1;
+                    (now + SimDuration::from_micros(dt), next_id)
+                })
+                .collect()
+        };
+        for op in ops {
+            match op {
+                QueueOp::Schedule(dt) => {
+                    let (at, id) = stamp(lane.now(), &[dt])[0];
+                    lane.schedule(at, id);
+                    reference.schedule(at, id);
+                }
+                QueueOp::Batch(offsets) => {
+                    let batch = stamp(lane.now(), &offsets);
+                    for &(at, id) in &batch {
+                        reference.schedule(at, id);
+                    }
+                    lane.schedule_sorted(batch);
+                }
+                QueueOp::Pop => {
+                    got.extend(lane.pop());
+                    want.extend(reference.pop());
+                }
+                QueueOp::RunUntil(dt) => {
+                    let horizon = lane.now() + SimDuration::from_micros(dt);
+                    while let Some(ev) = lane.pop_until(horizon) {
+                        got.push(ev);
+                    }
+                    while reference.peek_time().is_some_and(|t| t <= horizon) {
+                        want.extend(reference.pop());
+                    }
+                }
+            }
+            prop_assert_eq!(lane.len(), reference.len());
+            prop_assert_eq!(lane.peek_time(), reference.peek_time());
+            prop_assert_eq!(lane.now(), reference.now());
+        }
+        got.extend(lane.drain_ordered());
+        want.extend(reference.drain_ordered());
+        prop_assert_eq!(got, want);
     }
 
     /// Energy meters integrate exactly power x time across random legal
