@@ -11,7 +11,10 @@
 //! 3. [`Recorder::sort_by_time`] is a *stable* sort keyed on
 //!    `(at_us, seq)`;
 //! 4. the event schema is integers-and-enums only, and the vendored
-//!    `serde_json` renders maps in insertion order.
+//!    `serde_json` streams each event straight from its derived
+//!    `Serialize` impl: struct fields in declaration order, integers as
+//!    exact decimal text, no intermediate tree and no hash-map order to
+//!    leak in. Every event is appended to one output buffer.
 //!
 //! Capacity eviction (oldest first) is itself deterministic, so the
 //! contract survives overflow too.
@@ -120,9 +123,13 @@ impl Recorder {
     /// Renders the buffer as JSON Lines: one event object per line,
     /// trailing newline included when non-empty.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
+        // One allocation sized for typical lines (70–150 bytes) instead of
+        // a chain of doubling copies; pages of an over-estimate are never
+        // touched, so they cost address space, not memory.
+        const LINE_BYTES: usize = 128;
+        let mut out = String::with_capacity(self.events.len() * LINE_BYTES);
         for ev in &self.events {
-            out.push_str(&serde_json::to_string(ev).expect("trace events always serialise"));
+            serde_json::write_compact(&mut out, ev);
             out.push('\n');
         }
         out

@@ -25,21 +25,20 @@ pub struct OnlineStats {
 }
 
 impl Serialize for OnlineStats {
-    fn serialize(&self) -> serde::Value {
-        fn finite_or_null(x: f64) -> serde::Value {
-            if x.is_finite() {
-                serde::Value::F64(x)
-            } else {
-                serde::Value::Null
-            }
-        }
-        serde::Value::Map(vec![
-            ("count".to_string(), serde::Value::U64(self.count)),
-            ("mean".to_string(), serde::Value::F64(self.mean)),
-            ("m2".to_string(), serde::Value::F64(self.m2)),
-            ("min".to_string(), finite_or_null(self.min)),
-            ("max".to_string(), finite_or_null(self.max)),
-        ])
+    fn serialize<S: serde::Serializer>(&self, s: &mut S) {
+        let finite = |x: f64| Some(x).filter(|x| x.is_finite());
+        s.begin_map();
+        s.serialize_field("count");
+        s.serialize_u64(self.count);
+        s.serialize_field("mean");
+        s.serialize_f64(self.mean);
+        s.serialize_field("m2");
+        s.serialize_f64(self.m2);
+        s.serialize_field("min");
+        finite(self.min).serialize(s);
+        s.serialize_field("max");
+        finite(self.max).serialize(s);
+        s.end_map();
     }
 }
 
@@ -492,6 +491,22 @@ mod tests {
         back.push(3.0);
         assert_eq!(back.min(), 3.0);
         assert_eq!(back.max(), 3.0);
+    }
+
+    #[test]
+    fn online_stats_json_bytes_are_pinned() {
+        let mut s = OnlineStats::new();
+        assert_eq!(
+            serde_json::to_string(&s).unwrap(),
+            r#"{"count":0,"mean":0,"m2":0,"min":null,"max":null}"#
+        );
+        for x in [2.0, 4.0, 9.5] {
+            s.push(x);
+        }
+        assert_eq!(
+            serde_json::to_string(&s).unwrap(),
+            r#"{"count":3,"mean":5.166666666666666,"m2":30.16666666666667,"min":2,"max":9.5}"#
+        );
     }
 
     #[test]

@@ -2,17 +2,24 @@
 //!
 //! The build environment cannot reach crates.io, so the workspace ships a
 //! minimal serialisation framework under the same crate name. Instead of
-//! serde's visitor architecture, everything round-trips through a single
-//! [`Value`] tree; `serde_json` (also shimmed) renders and parses that
-//! tree. The derive macros come from the sibling `serde_derive` shim and
-//! cover the shapes this workspace uses: non-generic structs and enums
-//! without `#[serde(...)]` attributes.
+//! serde's visitor architecture it has two small halves:
+//!
+//! - **Writing streams.** [`Serialize`] drives a [`Serializer`] sink with
+//!   scalar, sequence and map calls; `serde_json` (also shimmed) implements
+//!   the sink and writes JSON text directly, with no intermediate tree.
+//! - **Reading goes through a tree.** `serde_json` parses text into a
+//!   [`Value`], and [`Deserialize`] reconstructs a type from it.
+//!
+//! The derive macros come from the sibling `serde_derive` shim and cover
+//! the shapes this workspace uses: non-generic structs and enums without
+//! `#[serde(...)]` attributes.
 
 use std::fmt;
 
 pub use serde_derive::{Deserialize, Serialize};
 
-/// A self-describing serialised value.
+/// A self-describing serialised value: what the JSON parser produces and
+/// [`Deserialize`] consumes.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     Null,
@@ -55,22 +62,27 @@ impl Value {
         }
     }
 
+    /// The value as a `u64`, if it is an integer in range. The upper bound
+    /// on floats is strict: `u64::MAX as f64` rounds up to 2⁶⁴, which is
+    /// itself out of range.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
             Value::U64(n) => Some(*n),
             Value::I64(n) if *n >= 0 => Some(*n as u64),
-            Value::F64(f) if f.fract() == 0.0 && *f >= 0.0 && *f <= u64::MAX as f64 => {
+            Value::F64(f) if f.fract() == 0.0 && *f >= 0.0 && *f < u64::MAX as f64 => {
                 Some(*f as u64)
             }
             _ => None,
         }
     }
 
+    /// The value as an `i64`, if it is an integer in range. As for
+    /// [`Value::as_u64`], `i64::MAX as f64` is 2⁶³, so the bound is strict.
     pub fn as_i64(&self) -> Option<i64> {
         match self {
             Value::I64(n) => Some(*n),
             Value::U64(n) if *n <= i64::MAX as u64 => Some(*n as i64),
-            Value::F64(f) if f.fract() == 0.0 && *f >= i64::MIN as f64 && *f <= i64::MAX as f64 => {
+            Value::F64(f) if f.fract() == 0.0 && *f >= i64::MIN as f64 && *f < i64::MAX as f64 => {
                 Some(*f as i64)
             }
             _ => None,
@@ -105,9 +117,35 @@ impl fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-/// Converts a value into the [`Value`] tree.
+/// The sink a [`Serialize`] impl writes into.
+///
+/// A value is one scalar call, or a `begin_*` call, its contents and the
+/// matching `end_*` call. Inside a map every value is preceded by exactly
+/// one [`Serializer::serialize_key`]. Writing cannot fail.
+pub trait Serializer {
+    fn serialize_null(&mut self);
+    fn serialize_bool(&mut self, v: bool);
+    fn serialize_u64(&mut self, v: u64);
+    fn serialize_i64(&mut self, v: i64);
+    fn serialize_f64(&mut self, v: f64);
+    fn serialize_str(&mut self, v: &str);
+    fn begin_seq(&mut self);
+    fn end_seq(&mut self);
+    fn begin_map(&mut self);
+    fn serialize_key(&mut self, key: &str);
+    fn end_map(&mut self);
+
+    /// A map key that is a Rust identifier, a derived field or variant
+    /// name, and so never needs escaping: sinks may skip the check that
+    /// [`Serializer::serialize_key`] must make. The derives use it.
+    fn serialize_field(&mut self, name: &'static str) {
+        self.serialize_key(name);
+    }
+}
+
+/// Writes a value into a [`Serializer`].
 pub trait Serialize {
-    fn serialize(&self) -> Value;
+    fn serialize<S: Serializer>(&self, s: &mut S);
 }
 
 /// Reconstructs a value from the [`Value`] tree.
@@ -139,8 +177,9 @@ pub fn de_field_or_default<T: Deserialize + Default>(
 macro_rules! impl_unsigned {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn serialize(&self) -> Value {
-                Value::U64(*self as u64)
+            #[inline]
+            fn serialize<S: Serializer>(&self, s: &mut S) {
+                s.serialize_u64(*self as u64);
             }
         }
         impl Deserialize for $t {
@@ -159,8 +198,9 @@ macro_rules! impl_unsigned {
 macro_rules! impl_signed {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn serialize(&self) -> Value {
-                Value::I64(*self as i64)
+            #[inline]
+            fn serialize<S: Serializer>(&self, s: &mut S) {
+                s.serialize_i64(*self as i64);
             }
         }
         impl Deserialize for $t {
@@ -180,8 +220,9 @@ impl_unsigned!(u8, u16, u32, u64, usize);
 impl_signed!(i8, i16, i32, i64, isize);
 
 impl Serialize for f64 {
-    fn serialize(&self) -> Value {
-        Value::F64(*self)
+    #[inline]
+    fn serialize<S: Serializer>(&self, s: &mut S) {
+        s.serialize_f64(*self);
     }
 }
 
@@ -196,8 +237,9 @@ impl Deserialize for f64 {
 }
 
 impl Serialize for f32 {
-    fn serialize(&self) -> Value {
-        Value::F64(f64::from(*self))
+    #[inline]
+    fn serialize<S: Serializer>(&self, s: &mut S) {
+        s.serialize_f64(f64::from(*self));
     }
 }
 
@@ -208,8 +250,9 @@ impl Deserialize for f32 {
 }
 
 impl Serialize for bool {
-    fn serialize(&self) -> Value {
-        Value::Bool(*self)
+    #[inline]
+    fn serialize<S: Serializer>(&self, s: &mut S) {
+        s.serialize_bool(*self);
     }
 }
 
@@ -220,8 +263,9 @@ impl Deserialize for bool {
 }
 
 impl Serialize for String {
-    fn serialize(&self) -> Value {
-        Value::Str(self.clone())
+    #[inline]
+    fn serialize<S: Serializer>(&self, s: &mut S) {
+        s.serialize_str(self);
     }
 }
 
@@ -234,14 +278,16 @@ impl Deserialize for String {
 }
 
 impl Serialize for str {
-    fn serialize(&self) -> Value {
-        Value::Str(self.to_string())
+    #[inline]
+    fn serialize<S: Serializer>(&self, s: &mut S) {
+        s.serialize_str(self);
     }
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
-    fn serialize(&self) -> Value {
-        (**self).serialize()
+    #[inline]
+    fn serialize<S: Serializer>(&self, s: &mut S) {
+        (**self).serialize(s);
     }
 }
 
@@ -249,8 +295,9 @@ impl<T: Serialize + ?Sized> Serialize for &T {
 // transparently, like serde's `rc` feature: the Arc is invisible in the
 // encoded form.
 impl<T: Serialize + ?Sized> Serialize for std::sync::Arc<T> {
-    fn serialize(&self) -> Value {
-        (**self).serialize()
+    #[inline]
+    fn serialize<S: Serializer>(&self, s: &mut S) {
+        (**self).serialize(s);
     }
 }
 
@@ -261,8 +308,9 @@ impl<T: Deserialize> Deserialize for std::sync::Arc<T> {
 }
 
 impl<T: Serialize + ?Sized> Serialize for std::rc::Rc<T> {
-    fn serialize(&self) -> Value {
-        (**self).serialize()
+    #[inline]
+    fn serialize<S: Serializer>(&self, s: &mut S) {
+        (**self).serialize(s);
     }
 }
 
@@ -273,8 +321,9 @@ impl<T: Deserialize> Deserialize for std::rc::Rc<T> {
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
-    fn serialize(&self) -> Value {
-        Value::Seq(self.iter().map(Serialize::serialize).collect())
+    #[inline]
+    fn serialize<S: Serializer>(&self, s: &mut S) {
+        self.as_slice().serialize(s);
     }
 }
 
@@ -289,16 +338,21 @@ impl<T: Deserialize> Deserialize for Vec<T> {
 }
 
 impl<T: Serialize> Serialize for [T] {
-    fn serialize(&self) -> Value {
-        Value::Seq(self.iter().map(Serialize::serialize).collect())
+    fn serialize<S: Serializer>(&self, s: &mut S) {
+        s.begin_seq();
+        for item in self {
+            item.serialize(s);
+        }
+        s.end_seq();
     }
 }
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn serialize(&self) -> Value {
+    #[inline]
+    fn serialize<S: Serializer>(&self, s: &mut S) {
         match self {
-            Some(x) => x.serialize(),
-            None => Value::Null,
+            Some(x) => x.serialize(s),
+            None => s.serialize_null(),
         }
     }
 }
@@ -315,8 +369,10 @@ impl<T: Deserialize> Deserialize for Option<T> {
 macro_rules! impl_tuple {
     ($(($($name:ident : $idx:tt),+))*) => {$(
         impl<$($name: Serialize),+> Serialize for ($($name,)+) {
-            fn serialize(&self) -> Value {
-                Value::Seq(vec![$(self.$idx.serialize()),+])
+            fn serialize<S: Serializer>(&self, s: &mut S) {
+                s.begin_seq();
+                $(self.$idx.serialize(s);)+
+                s.end_seq();
             }
         }
         impl<$($name: Deserialize),+> Deserialize for ($($name,)+) {
@@ -340,6 +396,110 @@ impl_tuple! {
     (A: 0, B: 1)
     (A: 0, B: 1, C: 2)
     (A: 0, B: 1, C: 2, D: 3)
+}
+
+/// A parsed tree serialises back into the sink call for call, so a
+/// document survives `from_str` → `to_string` unchanged.
+impl Serialize for Value {
+    fn serialize<S: Serializer>(&self, s: &mut S) {
+        match self {
+            Value::Null => s.serialize_null(),
+            Value::Bool(b) => s.serialize_bool(*b),
+            Value::U64(n) => s.serialize_u64(*n),
+            Value::I64(n) => s.serialize_i64(*n),
+            Value::F64(f) => s.serialize_f64(*f),
+            Value::Str(v) => s.serialize_str(v),
+            Value::Seq(items) => items.serialize(s),
+            Value::Map(entries) => {
+                s.begin_map();
+                for (k, v) in entries {
+                    s.serialize_key(k);
+                    v.serialize(s);
+                }
+                s.end_map();
+            }
+        }
+    }
+}
+
+/// A [`Serializer`] that assembles the [`Value`] tree of what it is fed.
+/// `HashMap` needs it to sort its entries into a deterministic order.
+#[derive(Default)]
+struct TreeBuilder {
+    /// Containers still being filled, innermost last.
+    open: Vec<Open>,
+    done: Option<Value>,
+}
+
+/// A container a [`TreeBuilder`] is still filling.
+enum Open {
+    Seq(Vec<Value>),
+    /// The entries so far, and the key the next value is filed under.
+    Map(Vec<(String, Value)>, Option<String>),
+}
+
+impl TreeBuilder {
+    fn build<T: Serialize + ?Sized>(value: &T) -> Value {
+        let mut b = TreeBuilder::default();
+        value.serialize(&mut b);
+        b.done.expect("a serialised value is complete")
+    }
+
+    fn put(&mut self, v: Value) {
+        match self.open.last_mut() {
+            None => self.done = Some(v),
+            Some(Open::Seq(items)) => items.push(v),
+            Some(Open::Map(entries, key)) => {
+                entries.push((key.take().expect("map value without a key"), v))
+            }
+        }
+    }
+
+    fn close(&mut self) {
+        let v = match self.open.pop().expect("close without an open container") {
+            Open::Seq(items) => Value::Seq(items),
+            Open::Map(entries, _) => Value::Map(entries),
+        };
+        self.put(v);
+    }
+}
+
+impl Serializer for TreeBuilder {
+    fn serialize_null(&mut self) {
+        self.put(Value::Null);
+    }
+    fn serialize_bool(&mut self, v: bool) {
+        self.put(Value::Bool(v));
+    }
+    fn serialize_u64(&mut self, v: u64) {
+        self.put(Value::U64(v));
+    }
+    fn serialize_i64(&mut self, v: i64) {
+        self.put(Value::I64(v));
+    }
+    fn serialize_f64(&mut self, v: f64) {
+        self.put(Value::F64(v));
+    }
+    fn serialize_str(&mut self, v: &str) {
+        self.put(Value::Str(v.to_string()));
+    }
+    fn begin_seq(&mut self) {
+        self.open.push(Open::Seq(Vec::new()));
+    }
+    fn end_seq(&mut self) {
+        self.close();
+    }
+    fn begin_map(&mut self) {
+        self.open.push(Open::Map(Vec::new(), None));
+    }
+    fn serialize_key(&mut self, key: &str) {
+        if let Some(Open::Map(_, slot)) = self.open.last_mut() {
+            *slot = Some(key.to_string());
+        }
+    }
+    fn end_map(&mut self) {
+        self.close();
+    }
 }
 
 /// Total order over [`Value`] trees so map serialisation is deterministic
@@ -391,14 +551,13 @@ fn value_cmp(a: &Value, b: &Value) -> std::cmp::Ordering {
     }
 }
 
+/// Serialised as a sequence of `[key, value]` pairs sorted by
+/// `value_cmp`, so the output does not depend on the hasher's state.
 impl<K: Serialize, V: Serialize> Serialize for std::collections::HashMap<K, V> {
-    fn serialize(&self) -> Value {
-        let mut pairs: Vec<Value> = self
-            .iter()
-            .map(|(k, v)| Value::Seq(vec![k.serialize(), v.serialize()]))
-            .collect();
+    fn serialize<S: Serializer>(&self, s: &mut S) {
+        let mut pairs: Vec<Value> = self.iter().map(|pair| TreeBuilder::build(&pair)).collect();
         pairs.sort_by(value_cmp);
-        Value::Seq(pairs)
+        pairs.serialize(s);
     }
 }
 
@@ -415,13 +574,14 @@ where
     }
 }
 
+/// Serialised as a sequence of `[key, value]` pairs in key order.
 impl<K: Serialize, V: Serialize> Serialize for std::collections::BTreeMap<K, V> {
-    fn serialize(&self) -> Value {
-        Value::Seq(
-            self.iter()
-                .map(|(k, v)| Value::Seq(vec![k.serialize(), v.serialize()]))
-                .collect(),
-        )
+    fn serialize<S: Serializer>(&self, s: &mut S) {
+        s.begin_seq();
+        for pair in self {
+            pair.serialize(s);
+        }
+        s.end_seq();
     }
 }
 
@@ -435,5 +595,51 @@ where
             .as_seq()
             .ok_or_else(|| Error::custom("expected sequence of key/value pairs"))?;
         seq.iter().map(<(K, V)>::deserialize).collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const TWO_POW_64: f64 = 18_446_744_073_709_551_616.0;
+    const TWO_POW_63: f64 = 9_223_372_036_854_775_808.0;
+
+    #[test]
+    fn as_u64_rejects_two_pow_64_and_keeps_the_float_below_it() {
+        assert_eq!(u64::MAX as f64, TWO_POW_64);
+        assert_eq!(Value::F64(TWO_POW_64).as_u64(), None);
+        let below = TWO_POW_64.next_down();
+        assert_eq!(below, 18_446_744_073_709_549_568.0);
+        assert_eq!(Value::F64(below).as_u64(), Some(18_446_744_073_709_549_568));
+        assert_eq!(Value::F64(TWO_POW_63).as_u64(), Some(1 << 63));
+        assert!(u64::deserialize(&Value::F64(TWO_POW_64)).is_err());
+    }
+
+    #[test]
+    fn as_i64_rejects_two_pow_63_and_keeps_the_float_below_it() {
+        assert_eq!(i64::MAX as f64, TWO_POW_63);
+        assert_eq!(Value::F64(TWO_POW_63).as_i64(), None);
+        let below = TWO_POW_63.next_down();
+        assert_eq!(below, 9_223_372_036_854_774_784.0);
+        assert_eq!(Value::F64(below).as_i64(), Some(9_223_372_036_854_774_784));
+        // The lower bound, -2⁶³, is exactly i64::MIN and stays in range.
+        assert_eq!(Value::F64(-TWO_POW_63).as_i64(), Some(i64::MIN));
+        assert_eq!(Value::F64((-TWO_POW_63).next_down()).as_i64(), None);
+        assert!(i64::deserialize(&Value::F64(TWO_POW_63)).is_err());
+    }
+
+    #[test]
+    fn tree_builder_reassembles_what_value_serializes() {
+        let v = Value::Map(vec![
+            ("a".into(), Value::Seq(vec![Value::U64(1), Value::Null])),
+            ("b".into(), Value::Map(vec![])),
+            ("c".into(), Value::Str("x".into())),
+            (
+                "d".into(),
+                Value::Seq(vec![Value::I64(-1), Value::F64(0.5)]),
+            ),
+        ]);
+        assert_eq!(TreeBuilder::build(&v), v);
     }
 }

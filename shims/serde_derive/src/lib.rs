@@ -267,87 +267,92 @@ fn parse_variants(stream: TokenStream) -> Vec<Variant> {
     }
 }
 
+/// `serialize` calls writing `fields` (bound to the given expressions) as
+/// the entries of one map.
+fn map_calls<'a>(fields: impl Iterator<Item = (&'a str, String)>) -> String {
+    let entries: String = fields
+        .map(|(key, expr)| {
+            format!("__s.serialize_field({key:?}); ::serde::Serialize::serialize({expr}, __s);")
+        })
+        .collect();
+    format!("__s.begin_map(); {entries} __s.end_map();")
+}
+
+/// `serialize` calls writing an enum variant's `payload` calls as the one
+/// entry of a map keyed by the variant name.
+fn variant_calls(vname: &str, payload: &str) -> String {
+    format!("__s.begin_map(); __s.serialize_field({vname:?}); {payload} __s.end_map();")
+}
+
+/// `serialize` calls writing the expressions as one sequence.
+fn seq_calls(exprs: impl Iterator<Item = String>) -> String {
+    let items: String = exprs
+        .map(|expr| format!("::serde::Serialize::serialize({expr}, __s);"))
+        .collect();
+    format!("__s.begin_seq(); {items} __s.end_seq();")
+}
+
 #[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
-    let body = match parse_shape(input) {
+    let (name, calls) = match parse_shape(input) {
         Shape::Named { name, fields } => {
-            let pairs: String = fields
-                .iter()
-                .map(|spec| {
-                    let f = &spec.name;
-                    format!("(String::from({f:?}), ::serde::Serialize::serialize(&self.{f})),")
-                })
-                .collect();
-            format!(
-                "impl ::serde::Serialize for {name} {{\n\
-                 fn serialize(&self) -> ::serde::Value {{\n\
-                 ::serde::Value::Map(vec![{pairs}])\n}}\n}}"
-            )
+            let calls = map_calls(
+                fields
+                    .iter()
+                    .map(|f| (f.name.as_str(), format!("&self.{}", f.name))),
+            );
+            (name, calls)
         }
         Shape::Tuple { name, arity } => {
-            let expr = if arity == 1 {
-                "::serde::Serialize::serialize(&self.0)".to_string()
+            let calls = if arity == 1 {
+                "::serde::Serialize::serialize(&self.0, __s);".to_string()
             } else {
-                let elems: String = (0..arity)
-                    .map(|i| format!("::serde::Serialize::serialize(&self.{i}),"))
-                    .collect();
-                format!("::serde::Value::Seq(vec![{elems}])")
+                seq_calls((0..arity).map(|i| format!("&self.{i}")))
             };
-            format!(
-                "impl ::serde::Serialize for {name} {{\n\
-                 fn serialize(&self) -> ::serde::Value {{ {expr} }}\n}}"
-            )
+            (name, calls)
         }
-        Shape::Unit { name } => format!(
-            "impl ::serde::Serialize for {name} {{\n\
-             fn serialize(&self) -> ::serde::Value {{ ::serde::Value::Null }}\n}}"
-        ),
+        Shape::Unit { name } => (name, "__s.serialize_null();".to_string()),
         Shape::Enum { name, variants } => {
             let arms: String = variants
                 .iter()
                 .map(|v| {
                     let vname = &v.name;
                     match &v.kind {
-                        VariantKind::Unit => format!(
-                            "{name}::{vname} => ::serde::Value::Str(String::from({vname:?})),"
-                        ),
+                        VariantKind::Unit => {
+                            format!("{name}::{vname} => __s.serialize_str({vname:?}),")
+                        }
                         VariantKind::Tuple(1) => format!(
-                            "{name}::{vname}(x0) => ::serde::Value::Map(vec![(String::from({vname:?}), ::serde::Serialize::serialize(x0))]),"
+                            "{name}::{vname}(x0) => {{ {} }}",
+                            variant_calls(vname, "::serde::Serialize::serialize(x0, __s);")
                         ),
                         VariantKind::Tuple(n) => {
                             let binds: Vec<String> = (0..*n).map(|i| format!("x{i}")).collect();
-                            let elems: String = binds
-                                .iter()
-                                .map(|b| format!("::serde::Serialize::serialize({b}),"))
-                                .collect();
                             format!(
-                                "{name}::{vname}({}) => ::serde::Value::Map(vec![(String::from({vname:?}), ::serde::Value::Seq(vec![{elems}]))]),",
-                                binds.join(", ")
+                                "{name}::{vname}({}) => {{ {} }}",
+                                binds.join(", "),
+                                variant_calls(vname, &seq_calls(binds.iter().cloned()))
                             )
                         }
-                        VariantKind::Named(fields) => {
-                            let pairs: String = fields
-                                .iter()
-                                .map(|f| {
-                                    format!("(String::from({f:?}), ::serde::Serialize::serialize({f})),")
-                                })
-                                .collect();
-                            format!(
-                                "{name}::{vname} {{ {} }} => ::serde::Value::Map(vec![(String::from({vname:?}), ::serde::Value::Map(vec![{pairs}]))]),",
-                                fields.join(", ")
+                        VariantKind::Named(fields) => format!(
+                            "{name}::{vname} {{ {} }} => {{ {} }}",
+                            fields.join(", "),
+                            variant_calls(
+                                vname,
+                                &map_calls(fields.iter().map(|f| (f.as_str(), f.clone())))
                             )
-                        }
+                        ),
                     }
                 })
                 .collect();
-            format!(
-                "impl ::serde::Serialize for {name} {{\n\
-                 fn serialize(&self) -> ::serde::Value {{ match self {{ {arms} }} }}\n}}"
-            )
+            (name, format!("match self {{ {arms} }}"))
         }
     };
-    body.parse()
-        .expect("serde shim derive: generated invalid Rust")
+    format!(
+        "impl ::serde::Serialize for {name} {{\n\
+         fn serialize<__S: ::serde::Serializer>(&self, __s: &mut __S) {{ {calls} }}\n}}"
+    )
+    .parse()
+    .expect("serde shim derive: generated invalid Rust")
 }
 
 #[proc_macro_derive(Deserialize, attributes(serde))]

@@ -1,13 +1,16 @@
 //! Vendored offline stand-in for `serde_json`.
 //!
-//! Renders and parses the `serde` shim's [`Value`] tree as JSON. Integers
-//! keep full 64-bit precision (they are emitted and re-parsed as integer
-//! literals, never routed through `f64`), and finite floats use Rust's
-//! shortest round-trip formatting, so `to_string` → `from_str` is lossless
-//! for every type the workspace serialises.
+//! Writing streams: `JsonWriter`, the one JSON renderer, implements the
+//! `serde` shim's [`Serializer`] sink and appends text as a value is
+//! walked, with no intermediate tree. Reading parses into the shim's
+//! [`Value`] tree, which `Deserialize` impls consume. Integers keep full
+//! 64-bit precision (they are emitted and re-parsed as integer literals,
+//! never routed through `f64`), and finite floats use Rust's shortest
+//! round-trip formatting, so `to_string` → `from_str` is lossless for every
+//! type the workspace serialises.
 
-use serde::{Deserialize, Serialize, Value};
-use std::fmt;
+use serde::{Deserialize, Serialize, Serializer, Value};
+use std::fmt::{self, Write as _};
 
 #[derive(Debug, Clone)]
 pub struct Error(String);
@@ -29,15 +32,21 @@ impl std::error::Error for Error {}
 /// Serialises a value to compact JSON.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
-    render(&value.serialize(), None, 0, &mut out);
+    write_compact(&mut out, value);
     Ok(out)
 }
 
 /// Serialises a value to indented JSON.
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
-    render(&value.serialize(), Some(2), 0, &mut out);
+    value.serialize(&mut JsonWriter::pretty(&mut out));
     Ok(out)
+}
+
+/// Appends the compact JSON of `value` to `out`: [`to_string`] without a
+/// fresh buffer, for writers that concatenate many documents (JSON Lines).
+pub fn write_compact<T: Serialize + ?Sized>(out: &mut String, value: &T) {
+    value.serialize(&mut JsonWriter::compact(out));
 }
 
 /// Parses JSON and deserialises into `T`.
@@ -55,86 +64,299 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     T::deserialize(&v).map_err(|e| Error::new(e.to_string()))
 }
 
-fn render(v: &Value, indent: Option<usize>, depth: usize, out: &mut String) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::U64(n) => out.push_str(&n.to_string()),
-        Value::I64(n) => out.push_str(&n.to_string()),
-        Value::F64(f) => {
-            if f.is_finite() {
-                // `{}` is Rust's shortest exact round-trip representation.
-                out.push_str(&f.to_string());
-            } else {
-                out.push_str("null");
-            }
+/// Spaces per nesting level in pretty output.
+const INDENT: usize = 2;
+
+/// The JSON renderer: a [`Serializer`] that appends compact or indented
+/// JSON text to a `String`.
+///
+/// Its whole state is the nesting depth and two flags, so writing
+/// allocates nothing beyond the output's own growth.
+struct JsonWriter<'a> {
+    out: &'a mut String,
+    pretty: bool,
+    /// Open containers.
+    depth: usize,
+    /// Nothing has been written yet in the innermost open container.
+    first: bool,
+    /// A map key was just written; the next value completes its pair.
+    after_key: bool,
+}
+
+impl<'a> JsonWriter<'a> {
+    /// A writer producing `to_string`'s single-line form.
+    fn compact(out: &'a mut String) -> Self {
+        Self::new(out, false)
+    }
+
+    /// A writer producing `to_string_pretty`'s indented form.
+    fn pretty(out: &'a mut String) -> Self {
+        Self::new(out, true)
+    }
+
+    fn new(out: &'a mut String, pretty: bool) -> Self {
+        JsonWriter {
+            out,
+            pretty,
+            depth: 0,
+            first: true,
+            after_key: false,
         }
-        Value::Str(s) => render_string(s, out),
-        Value::Seq(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(indent, depth + 1, out);
-                render(item, indent, depth + 1, out);
-            }
-            newline_indent(indent, depth, out);
-            out.push(']');
+    }
+
+    /// Separates a new element from its predecessor in the open
+    /// container: a comma after the first, then the line break and
+    /// indent of pretty output.
+    #[inline(always)]
+    fn element(&mut self) {
+        if !self.first {
+            self.out.push(',');
         }
-        Value::Map(entries) => {
-            if entries.is_empty() {
-                out.push_str("{}");
-                return;
-            }
-            out.push('{');
-            for (i, (k, item)) in entries.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(indent, depth + 1, out);
-                render_string(k, out);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                render(item, indent, depth + 1, out);
-            }
-            newline_indent(indent, depth, out);
-            out.push('}');
+        self.first = false;
+        self.newline_indent();
+    }
+
+    /// Called before every value: sequence elements get their separator,
+    /// map values follow their key directly.
+    #[inline(always)]
+    fn before_value(&mut self) {
+        if self.after_key {
+            self.after_key = false;
+        } else if self.depth > 0 {
+            self.element();
         }
+    }
+
+    #[inline(always)]
+    fn newline_indent(&mut self) {
+        if self.pretty {
+            self.write_indent();
+        }
+    }
+
+    /// Starts a new line indented to the current depth.
+    fn write_indent(&mut self) {
+        const SPACES: &str = "                                ";
+        self.out.push('\n');
+        let mut n = self.depth * INDENT;
+        while n > 0 {
+            let k = n.min(SPACES.len());
+            self.out.push_str(&SPACES[..k]);
+            n -= k;
+        }
+    }
+
+    /// Writes what precedes a map key's text: the element separator and
+    /// the opening quote.
+    #[inline(always)]
+    fn open_key(&mut self) {
+        if self.pretty {
+            self.element();
+            self.out.push('"');
+        } else if self.first {
+            self.first = false;
+            self.out.push('"');
+        } else {
+            self.out.push_str(",\"");
+        }
+    }
+
+    /// Writes what follows a map key's text, up to its value.
+    #[inline(always)]
+    fn close_key(&mut self) {
+        self.out.push_str("\":");
+        if self.pretty {
+            self.out.push(' ');
+        }
+        self.after_key = true;
+    }
+
+    #[inline(always)]
+    fn open(&mut self, bracket: char) {
+        self.before_value();
+        self.out.push(bracket);
+        self.depth += 1;
+        self.first = true;
+    }
+
+    #[inline(always)]
+    fn close(&mut self, bracket: char) {
+        self.depth -= 1;
+        // An empty container closes on the same line: `[]`, `{}`.
+        if !self.first {
+            self.newline_indent();
+        }
+        self.first = false;
+        self.out.push(bracket);
     }
 }
 
-fn newline_indent(indent: Option<usize>, depth: usize, out: &mut String) {
-    if let Some(width) = indent {
-        out.push('\n');
-        for _ in 0..depth * width {
-            out.push(' ');
+// Every sink call is forced inline. The derived `serialize` bodies that
+// drive the writer are instantiated in the calling crate, and left to its
+// own judgement the compiler kept these as out-of-line calls there, which
+// cost about a fifth of the JSONL trace export.
+impl Serializer for JsonWriter<'_> {
+    #[inline(always)]
+    fn serialize_null(&mut self) {
+        self.before_value();
+        self.out.push_str("null");
+    }
+
+    #[inline(always)]
+    fn serialize_bool(&mut self, v: bool) {
+        self.before_value();
+        self.out.push_str(if v { "true" } else { "false" });
+    }
+
+    #[inline(always)]
+    fn serialize_u64(&mut self, v: u64) {
+        self.before_value();
+        write_u64(self.out, v);
+    }
+
+    #[inline(always)]
+    fn serialize_i64(&mut self, v: i64) {
+        self.before_value();
+        if v < 0 {
+            self.out.push('-');
         }
+        write_u64(self.out, v.unsigned_abs());
+    }
+
+    #[inline]
+    fn serialize_f64(&mut self, v: f64) {
+        self.before_value();
+        if v.is_finite() {
+            // `{}` is Rust's shortest exact round-trip representation.
+            let _ = write!(self.out, "{v}");
+        } else {
+            self.out.push_str("null");
+        }
+    }
+
+    #[inline(always)]
+    fn serialize_str(&mut self, v: &str) {
+        self.before_value();
+        write_string(self.out, v);
+    }
+
+    #[inline(always)]
+    fn begin_seq(&mut self) {
+        self.open('[');
+    }
+
+    #[inline(always)]
+    fn end_seq(&mut self) {
+        self.close(']');
+    }
+
+    #[inline(always)]
+    fn begin_map(&mut self) {
+        self.open('{');
+    }
+
+    #[inline(always)]
+    fn serialize_key(&mut self, key: &str) {
+        self.open_key();
+        write_string_body(self.out, key);
+        self.close_key();
+    }
+
+    #[inline(always)]
+    fn serialize_field(&mut self, name: &'static str) {
+        debug_assert!(
+            !name.bytes().any(|b| NEEDS_ESCAPE[usize::from(b)]),
+            "field name {name:?} needs escaping"
+        );
+        self.open_key();
+        self.out.push_str(name);
+        self.close_key();
+    }
+
+    #[inline(always)]
+    fn end_map(&mut self) {
+        self.close('}');
     }
 }
 
-fn render_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+/// Appends the decimal digits of `n`, formatted in a stack buffer.
+#[inline(always)]
+fn write_u64(out: &mut String, mut n: u64) {
+    let mut buf = [0u8; 20];
+    let mut i = buf.len();
+    loop {
+        i -= 1;
+        buf[i] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
         }
     }
+    // SAFETY: `buf[i..]` holds only the ASCII digits written above, which
+    // are valid UTF-8. Re-validating them slowed the JSONL export by ~10 %.
+    out.push_str(unsafe { std::str::from_utf8_unchecked(&buf[i..]) });
+}
+
+/// Bytes a JSON string literal cannot hold as themselves: `"`, `\` and
+/// the control characters.
+static NEEDS_ESCAPE: [bool; 256] = {
+    let mut table = [false; 256];
+    let mut b = 0;
+    while b < 0x20 {
+        table[b] = true;
+        b += 1;
+    }
+    table[b'"' as usize] = true;
+    table[b'\\' as usize] = true;
+    table
+};
+
+/// Appends `s` as a JSON string literal.
+#[inline(always)]
+fn write_string(out: &mut String, s: &str) {
     out.push('"');
+    write_string_body(out, s);
+    out.push('"');
+}
+
+/// Appends `s` escaped, without quotes. A string with nothing to escape,
+/// which is nearly every enum tag, is copied in one go.
+#[inline(always)]
+fn write_string_body(out: &mut String, s: &str) {
+    if s.bytes().all(|b| !NEEDS_ESCAPE[usize::from(b)]) {
+        out.push_str(s);
+    } else {
+        write_escaped(out, s);
+    }
+}
+
+/// [`write_string_body`] for a string that needs escapes: runs of plain
+/// bytes are copied whole between them.
+#[cold]
+fn write_escaped(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !NEEDS_ESCAPE[usize::from(b)] {
+            continue;
+        }
+        // `b` is ASCII, so both slice ends fall on char boundaries.
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
+            }
+        }
+    }
+    out.push_str(&s[run..]);
 }
 
 struct Parser<'a> {
@@ -373,6 +595,46 @@ mod tests {
             let back: f64 = from_str(&to_string(&f).unwrap()).unwrap();
             assert_eq!(f.to_bits(), back.to_bits(), "{f}");
         }
+    }
+
+    #[test]
+    fn floats_at_the_integer_limits_do_not_saturate() {
+        // 2⁶⁴ and 2⁶³ parse as floats; neither fits its target type.
+        assert!(from_str::<u64>("18446744073709551616").is_err());
+        assert!(from_str::<u64>("18446744073709551616.0").is_err());
+        assert!(from_str::<i64>("9223372036854775808.0").is_err());
+        assert_eq!(
+            from_str::<u64>("18446744073709549568.0").unwrap(),
+            18_446_744_073_709_549_568
+        );
+        assert_eq!(
+            from_str::<i64>("9223372036854774784.0").unwrap(),
+            9_223_372_036_854_774_784
+        );
+    }
+
+    #[test]
+    fn parsed_value_writes_back_unchanged() {
+        let text = r#"{"a":[1,-2,0.5,null,true],"b":{},"c":[],"d":"x\ny","e":{"f":[[]]}}"#;
+        let parse = |src: &str| {
+            Parser {
+                src: src.as_bytes(),
+                pos: 0,
+            }
+            .value()
+            .unwrap()
+        };
+        let v = parse(text);
+        assert_eq!(to_string(&v).unwrap(), text);
+        assert_eq!(parse(&to_string_pretty(&v).unwrap()), v);
+    }
+
+    #[test]
+    fn write_compact_appends() {
+        let mut out = String::from("x");
+        write_compact(&mut out, &vec![1u8, 2]);
+        write_compact(&mut out, "y");
+        assert_eq!(out, r#"x[1,2]"y""#);
     }
 
     #[test]
