@@ -505,9 +505,8 @@ mod tests {
     use super::*;
     use crate::span::reconstruct_spans;
     use eevfs::config::EevfsConfig;
-    use eevfs::driver::run_cluster_observed;
+    use eevfs::driver::{simulate, Scenario};
     use eevfs_obs::{Recorder, TraceEvent};
-    use fault_model::FaultPlan;
     use workload::synthetic::{generate, SyntheticSpec};
 
     fn observed_ledger(requests: u32, seed: u64) -> (RunMetrics, EnergyLedger) {
@@ -517,14 +516,10 @@ mod tests {
             ..SyntheticSpec::paper_default()
         });
         let cluster = ClusterSpec::paper_testbed();
-        let (metrics, report) = run_cluster_observed(
-            &cluster,
-            &EevfsConfig::paper_pf(70),
-            &trace,
-            &FaultPlan::none(),
-            None,
-            Recorder::default(),
-        );
+        let cfg = EevfsConfig::paper_pf(70);
+        let scenario = Scenario::new(&cluster, &cfg, &trace);
+        let (metrics, report) = simulate(&scenario, Some(Recorder::default())).unwrap();
+        let report = report.unwrap();
         let events: Vec<TraceEvent> = report.recorder.events().cloned().collect();
         let spans = reconstruct_spans(&events);
         assert_eq!(spans.len() as u32, requests);

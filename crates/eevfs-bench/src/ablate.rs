@@ -10,7 +10,7 @@ use crate::runner::{GridError, Runner};
 use crate::sweeps::SweepParams;
 use eevfs::baselines;
 use eevfs::config::{ClusterSpec, EevfsConfig};
-use eevfs::driver::{run_cluster, run_cluster_resilient, ResilienceSetup};
+use eevfs::driver::{run_cluster, simulate, ResilienceSetup, Scenario};
 use eevfs::metrics::RunMetrics;
 use fault_model::{FaultPlan, LinkFaultProfile, NetFaultPlan, RpcPolicy};
 use serde::{Deserialize, Serialize};
@@ -362,15 +362,11 @@ pub fn ablate_arrival_mode(p: &SweepParams) -> Ablation {
 /// are what keeps `failed_requests` at zero once nodes and disks start
 /// dying; the energy-aware selector claws some of the cost back by
 /// steering reads to already-spinning replicas.
-pub fn ablate_faults(p: &SweepParams) -> Ablation {
-    try_ablate_faults_on(&Runner::serial(), p).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`ablate_faults`] with the rate × R grid fanned out on `runner`.
-/// A cell that dies comes back as a [`GridError`] naming the grid point.
-pub fn try_ablate_faults_on(runner: &Runner, p: &SweepParams) -> Result<Ablation, GridError> {
+///
+/// The rate × R grid fans out on `runner`; a cell that dies comes back
+/// as a [`GridError`] naming the grid point.
+pub fn ablate_faults(runner: &Runner, p: &SweepParams) -> Result<Ablation, GridError> {
     use eevfs::config::ReplicaSelection;
-    use eevfs::driver::run_cluster_faulted;
     use fault_model::FaultSpec;
 
     let cluster = ClusterSpec::paper_testbed();
@@ -415,7 +411,11 @@ pub fn try_ablate_faults_on(runner: &Runner, p: &SweepParams) -> Result<Ablation
                 })
             };
             let cfg = EevfsConfig::paper_pf_replicated(70, r);
-            let run = run_cluster_faulted(&cluster, &cfg, &trace, &plan);
+            let scenario = Scenario {
+                faults: &plan,
+                ..Scenario::new(&cluster, &cfg, &trace)
+            };
+            let (run, _) = simulate(&scenario, None).unwrap_or_else(|e| panic!("{e}"));
             AblationRow {
                 name: format!("R={r}, fail rate={rate}/h"),
                 savings: run.savings_vs(&npf),
@@ -440,7 +440,6 @@ pub fn try_ablate_faults_on(runner: &Runner, p: &SweepParams) -> Result<Ablation
     })
 }
 
-/// Every ablation in DESIGN.md order.
 /// Network resilience grid: drop-rate × retry-policy at R=2 (ISSUE 2).
 ///
 /// Sweeps injected packet-loss profiles against three RPC policies —
@@ -448,14 +447,10 @@ pub fn try_ablate_faults_on(runner: &Runner, p: &SweepParams) -> Result<Ablation
 /// energy/response-time trade-off of each cell. Hedged reads race a second
 /// replica, so their duplicate disk activations show up as extra joules:
 /// availability bought with energy, the paper's currency.
-pub fn ablate_resilience(p: &SweepParams) -> Ablation {
-    try_ablate_resilience_on(&Runner::serial(), p).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`ablate_resilience`] with the policy × drop-rate grid fanned out on
-/// `runner`. A cell that dies comes back as a [`GridError`] naming the
-/// grid point.
-pub fn try_ablate_resilience_on(runner: &Runner, p: &SweepParams) -> Result<Ablation, GridError> {
+///
+/// The policy × drop-rate grid fans out on `runner`; a cell that dies
+/// comes back as a [`GridError`] naming the grid point.
+pub fn ablate_resilience(runner: &Runner, p: &SweepParams) -> Result<Ablation, GridError> {
     let cluster = ClusterSpec::paper_testbed();
     let trace = trace_default(p, 1000.0);
     let npf = run_cluster(&cluster, &EevfsConfig::paper_npf(), &trace);
@@ -479,17 +474,15 @@ pub fn try_ablate_resilience_on(runner: &Runner, p: &SweepParams) -> Result<Abla
             } else {
                 LinkFaultProfile::lossy(p.seed, *drop)
             };
-            let run = run_cluster_resilient(
-                &cluster,
-                &cfg,
-                &trace,
-                &FaultPlan::none(),
-                ResilienceSetup {
+            let scenario = Scenario {
+                resilience: Some(ResilienceSetup {
                     net_plan: &NetFaultPlan::none(),
                     profile: &profile,
                     policy,
-                },
-            );
+                }),
+                ..Scenario::new(&cluster, &cfg, &trace)
+            };
+            let (run, _) = simulate(&scenario, None).unwrap_or_else(|e| panic!("{e}"));
             AblationRow {
                 name: format!("drop={:.0}%, policy={policy_name}", drop * 100.0),
                 savings: run.savings_vs(&npf),
@@ -515,15 +508,11 @@ pub fn try_ablate_resilience_on(runner: &Runner, p: &SweepParams) -> Result<Abla
 /// a repair instead of data loss — at R ≥ 2 with scrubbing the
 /// unrecoverable count is zero. The last row crashes a node mid-run so
 /// the journal-replay counters appear in the same report.
-pub fn ablate_scrub(p: &SweepParams) -> Ablation {
-    try_ablate_scrub_on(&Runner::serial(), p).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`ablate_scrub`] with the rate × R × scrub grid fanned out on
-/// `runner`. A cell that dies comes back as a [`GridError`] naming the
-/// grid point.
-pub fn try_ablate_scrub_on(runner: &Runner, p: &SweepParams) -> Result<Ablation, GridError> {
-    use eevfs::driver::{run_cluster_durable, DurabilitySetup};
+///
+/// The rate × R × scrub grid fans out on `runner`; a cell that dies comes
+/// back as a [`GridError`] naming the grid point.
+pub fn ablate_scrub(runner: &Runner, p: &SweepParams) -> Result<Ablation, GridError> {
+    use eevfs::driver::DurabilitySetup;
     use eevfs::scrub::ScrubPolicy;
     use fault_model::{CorruptionPlan, CorruptionSpec, CrashPlan};
     use sim_core::SimTime;
@@ -574,18 +563,16 @@ pub fn try_ablate_scrub_on(runner: &Runner, p: &SweepParams) -> Result<Ablation,
                 flip_per_disk_hour: rate,
             });
             let cfg = EevfsConfig::paper_pf_replicated(70, r);
-            let run = run_cluster_durable(
-                &cluster,
-                &cfg,
-                &trace,
-                &FaultPlan::none(),
-                DurabilitySetup {
+            let scenario = Scenario {
+                durability: Some(DurabilitySetup {
                     corruption: &corruption,
                     crashes: &CrashPlan::none(),
                     scrub,
                     blocks_per_disk,
-                },
-            );
+                }),
+                ..Scenario::new(&cluster, &cfg, &trace)
+            };
+            let (run, _) = simulate(&scenario, None).unwrap_or_else(|e| panic!("{e}"));
             AblationRow {
                 name: format!("R={r}, rot={rate}/disk-h, {scrub_name}"),
                 savings: run.savings_vs(&npf),
@@ -607,18 +594,17 @@ pub fn try_ablate_scrub_on(runner: &Runner, p: &SweepParams) -> Result<Ablation,
     });
     let mid = SimTime::ZERO + SimDuration::from_micros(horizon.as_micros() / 2);
     let crashes = CrashPlan::one(2, mid, mid + SimDuration::from_secs(30));
-    let run = run_cluster_durable(
-        &cluster,
-        &EevfsConfig::paper_pf_replicated(70, 2),
-        &trace,
-        &FaultPlan::none(),
-        DurabilitySetup {
+    let cfg = EevfsConfig::paper_pf_replicated(70, 2);
+    let scenario = Scenario {
+        durability: Some(DurabilitySetup {
             corruption: &corruption,
             crashes: &crashes,
             scrub: ScrubPolicy::piggyback_default(),
             blocks_per_disk,
-        },
-    );
+        }),
+        ..Scenario::new(&cluster, &cfg, &trace)
+    };
+    let (run, _) = simulate(&scenario, None).unwrap_or_else(|e| panic!("{e}"));
     rows.push(AblationRow {
         name: "R=2, rot=10/disk-h, scrub=piggyback, node crash mid-run".into(),
         savings: run.savings_vs(&npf),
@@ -660,14 +646,10 @@ pub fn resilience_policies(seed: u64) -> Vec<(&'static str, RpcPolicy)> {
     ]
 }
 
-/// Every ablation study, in report order.
-pub fn all_ablations(p: &SweepParams) -> Vec<Ablation> {
-    all_ablations_on(&Runner::serial(), p)
-}
-
-/// [`all_ablations`] with whole studies fanned out on `runner` (each
-/// study is one work item; the studies are mutually independent).
-pub fn all_ablations_on(runner: &Runner, p: &SweepParams) -> Vec<Ablation> {
+/// Every ablation study, in report order, with whole studies fanned out
+/// on `runner` (each study is one work item; the studies are mutually
+/// independent, and each runs its own grid serially).
+pub fn all_ablations(runner: &Runner, p: &SweepParams) -> Vec<Ablation> {
     let studies: [fn(&SweepParams) -> Ablation; 12] = [
         ablate_threshold,
         ablate_hints,
@@ -678,9 +660,9 @@ pub fn all_ablations_on(runner: &Runner, p: &SweepParams) -> Vec<Ablation> {
         ablate_striping,
         ablate_disk_technology,
         ablate_arrival_mode,
-        ablate_faults,
-        ablate_resilience,
-        ablate_scrub,
+        |p| ablate_faults(&Runner::serial(), p).unwrap_or_else(|e| panic!("{e}")),
+        |p| ablate_resilience(&Runner::serial(), p).unwrap_or_else(|e| panic!("{e}")),
+        |p| ablate_scrub(&Runner::serial(), p).unwrap_or_else(|e| panic!("{e}")),
     ];
     runner.map(&studies, |_, study| study(p))
 }
@@ -718,7 +700,7 @@ mod tests {
 
     #[test]
     fn resilience_ablation_has_full_grid() {
-        let a = ablate_resilience(&quick());
+        let a = ablate_resilience(&Runner::serial(), &quick()).expect("grid runs");
         // NPF baseline + 3 policies × 3 drop rates.
         assert_eq!(a.rows.len(), 10);
         // Clean-network cells inject nothing.
@@ -797,7 +779,7 @@ mod tests {
 
     #[test]
     fn faults_ablation_shows_replication_absorbing_failures() {
-        let a = ablate_faults(&quick());
+        let a = ablate_faults(&Runner::serial(), &quick()).expect("grid runs");
         assert_eq!(a.rows.len(), 11, "{a:?}");
         // Healthy grid (rows 1..=3): no faults fire, nothing is lost.
         for r in &a.rows[1..=3] {
@@ -819,10 +801,11 @@ mod tests {
     fn scrub_ablation_shows_replication_repairing_detections() {
         // 120 requests leave the buffer unmissed — the piggyback scrubber
         // rides physical data-disk accesses, so give it some.
-        let a = ablate_scrub(&SweepParams {
+        let p = SweepParams {
             requests: 300,
             ..SweepParams::default()
-        });
+        };
+        let a = ablate_scrub(&Runner::serial(), &p).expect("grid runs");
         // NPF baseline + 2 rates × 2 R × 2 scrub policies + crash row.
         assert_eq!(a.rows.len(), 10, "{a:?}");
         for r in &a.rows[1..] {

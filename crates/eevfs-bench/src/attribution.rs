@@ -13,13 +13,12 @@
 use crate::runner::Runner;
 use crate::sweeps::SweepParams;
 use eevfs::config::{ClusterSpec, EevfsConfig};
-use eevfs::driver::run_cluster_observed;
+use eevfs::driver::{simulate, Scenario};
 use eevfs_audit::{
     build_ledger, reconstruct_spans, render_cell_tables, AttributionCell, AttributionModel,
     AuditReport, EnergyLedger, ResidencyTable, REPORT_VERSION,
 };
 use eevfs_obs::{Recorder, TraceEvent};
-use fault_model::FaultPlan;
 use workload::berkeley::{berkeley_web_trace, BerkeleySpec};
 use workload::synthetic::{generate, SyntheticSpec};
 use workload::Trace;
@@ -84,14 +83,10 @@ fn build_cell(kind: CellKind, p: &SweepParams) -> Result<(AttributionCell, Strin
     let (name, workload, config, cfg) = cell_meta(kind);
     let trace = cell_trace(kind, p);
     let cluster = ClusterSpec::paper_testbed();
-    let (metrics, report) = run_cluster_observed(
-        &cluster,
-        &cfg,
-        &trace,
-        &FaultPlan::none(),
-        None,
-        Recorder::default(),
-    );
+    let scenario = Scenario::new(&cluster, &cfg, &trace);
+    let (metrics, report) =
+        simulate(&scenario, Some(Recorder::default())).map_err(|e| format!("cell {name}: {e}"))?;
+    let report = report.expect("a recorder was supplied");
     let events: Vec<TraceEvent> = report.recorder.events().cloned().collect();
     let spans = reconstruct_spans(&events);
     if spans.len() as u32 != p.requests {

@@ -60,7 +60,7 @@
 
 #![warn(clippy::unwrap_used)]
 
-use eevfs_bench::ablate::all_ablations_on;
+use eevfs_bench::ablate::all_ablations;
 use eevfs_bench::figures::{fig3_view, fig4_view, fig5_view, fig6, Panel};
 use eevfs_bench::report::{render_ablation, render_figure, render_sweep};
 use eevfs_bench::runner::Runner;
@@ -210,8 +210,8 @@ fn parse_args() -> Result<Args, String> {
 /// versioned BENCH_runtime.json artifact, and the saturation gate.
 fn run_load(args: &Args, runner: &Runner) -> ExitCode {
     use eevfs_bench::load::{
-        deviation_cells_on, render_load_report, run_load_grid, run_load_grid_on, runtime_gate,
-        saturation_gate, LoadSnapshot, GRID_MAX_INFLIGHT, LOAD_SNAPSHOT_VERSION,
+        deviation_cells, render_load_report, run_load_grid, runtime_gate, saturation_gate,
+        LoadSnapshot, GRID_MAX_INFLIGHT, LOAD_SNAPSHOT_VERSION,
     };
 
     let p = &args.params;
@@ -221,8 +221,8 @@ fn run_load(args: &Args, runner: &Runner) -> ExitCode {
         runner.jobs(),
         if args.sim_only { " (sim only)" } else { "" }
     );
-    let serial_pts = run_load_grid(p);
-    let parallel_pts = run_load_grid_on(runner, p);
+    let serial_pts = run_load_grid(&Runner::serial(), p);
+    let parallel_pts = run_load_grid(runner, p);
     let (serial_json, parallel_json) = match (
         serde_json::to_string(&serial_pts),
         serde_json::to_string(&parallel_pts),
@@ -234,7 +234,7 @@ fn run_load(args: &Args, runner: &Runner) -> ExitCode {
         }
     };
     let byte_identical = serial_json == parallel_json;
-    let deviations = deviation_cells_on(runner, p);
+    let deviations = deviation_cells(runner, p);
     let runtime = if args.sim_only {
         Vec::new()
     } else {
@@ -576,7 +576,7 @@ fn main() -> ExitCode {
     match cmd {
         "all" => {
             for panel in Panel::ALL {
-                let pts = panel.run_on(&runner, p);
+                let pts = panel.run(&runner, p);
                 println!(
                     "{}",
                     render_sweep(&format!("sweep: {}", panel.xlabel()), &pts)
@@ -587,14 +587,14 @@ fn main() -> ExitCode {
                 output.sweeps.push((panel.xlabel().to_string(), pts));
             }
             println!("{}", render_figure(&fig6(p)));
-            for a in all_ablations_on(&runner, p) {
+            for a in all_ablations(&runner, p) {
                 println!("{}", render_ablation(&a));
                 output.ablations.push(a);
             }
         }
         "sweeps" => {
             for panel in Panel::ALL {
-                let pts = panel.run_on(&runner, p);
+                let pts = panel.run(&runner, p);
                 println!(
                     "{}",
                     render_sweep(&format!("sweep: {}", panel.xlabel()), &pts)
@@ -604,20 +604,20 @@ fn main() -> ExitCode {
         }
         "fig3a" | "fig3b" | "fig3c" | "fig3d" => {
             let panel = panel_of(&cmd[4..]).expect("suffix checked");
-            let pts = panel.run_on(&runner, p);
+            let pts = panel.run(&runner, p);
             println!("{}", render_figure(&fig3_view(panel, &pts)));
             output.sweeps.push((panel.xlabel().to_string(), pts));
         }
         "fig4" => {
             for panel in Panel::ALL {
-                let pts = panel.run_on(&runner, p);
+                let pts = panel.run(&runner, p);
                 println!("{}", render_figure(&fig4_view(panel, &pts)));
                 output.sweeps.push((panel.xlabel().to_string(), pts));
             }
         }
         "fig5" => {
             for panel in Panel::ALL {
-                let pts = panel.run_on(&runner, p);
+                let pts = panel.run(&runner, p);
                 println!("{}", render_figure(&fig5_view(panel, &pts)));
                 output.sweeps.push((panel.xlabel().to_string(), pts));
             }
@@ -627,6 +627,8 @@ fn main() -> ExitCode {
         }
         "power-curve" => {
             use eevfs::config::{ClusterSpec, EevfsConfig};
+            use eevfs::driver::{simulate, Scenario};
+            use eevfs_obs::Recorder;
             use workload::synthetic::{generate, SyntheticSpec};
             let trace = generate(&SyntheticSpec {
                 requests: p.requests,
@@ -634,10 +636,14 @@ fn main() -> ExitCode {
                 ..SyntheticSpec::paper_default()
             });
             let cluster = ClusterSpec::paper_testbed();
-            let (_, pf) =
-                eevfs::driver::run_cluster_traced(&cluster, &EevfsConfig::paper_pf(70), &trace);
-            let (_, npf) =
-                eevfs::driver::run_cluster_traced(&cluster, &EevfsConfig::paper_npf(), &trace);
+            let energy_curve = |cfg: &EevfsConfig| {
+                let scenario = Scenario::new(&cluster, cfg, &trace);
+                let (_, report) = simulate(&scenario, Some(Recorder::default()))
+                    .unwrap_or_else(|e| panic!("{e}"));
+                report.expect("a recorder was supplied").energy_curve
+            };
+            let pf = energy_curve(&EevfsConfig::paper_pf(70));
+            let npf = energy_curve(&EevfsConfig::paper_npf());
             println!(
                 "# whole-cluster power over time (W), PF(70) vs NPF, {} requests",
                 p.requests
@@ -674,9 +680,8 @@ fn main() -> ExitCode {
         }
         "trace" => {
             use eevfs::config::{ClusterSpec, EevfsConfig};
-            use eevfs::driver::run_cluster_observed;
+            use eevfs::driver::{simulate, Scenario};
             use eevfs_obs::{Recorder, TraceEvent};
-            use fault_model::FaultPlan;
             use workload::synthetic::{generate, SyntheticSpec};
             let trace = generate(&SyntheticSpec {
                 requests: p.requests,
@@ -684,14 +689,11 @@ fn main() -> ExitCode {
                 ..SyntheticSpec::paper_default()
             });
             let cluster = ClusterSpec::paper_testbed();
-            let (metrics, report) = run_cluster_observed(
-                &cluster,
-                &EevfsConfig::paper_pf(70),
-                &trace,
-                &FaultPlan::none(),
-                None,
-                Recorder::default(),
-            );
+            let cfg = EevfsConfig::paper_pf(70);
+            let scenario = Scenario::new(&cluster, &cfg, &trace);
+            let (metrics, report) =
+                simulate(&scenario, Some(Recorder::default())).unwrap_or_else(|e| panic!("{e}"));
+            let report = report.expect("a recorder was supplied");
             let events: Vec<TraceEvent> = report.recorder.events().cloned().collect();
             let end_us = events.last().map(|e| e.at_us).unwrap_or(0);
             println!(
@@ -725,13 +727,13 @@ fn main() -> ExitCode {
             }
         }
         "ablate" => {
-            for a in all_ablations_on(&runner, p) {
+            for a in all_ablations(&runner, p) {
                 println!("{}", render_ablation(&a));
                 output.ablations.push(a);
             }
         }
         "faults" => {
-            let a = match eevfs_bench::ablate::try_ablate_faults_on(&runner, p) {
+            let a = match eevfs_bench::ablate::ablate_faults(&runner, p) {
                 Ok(a) => a,
                 Err(e) => {
                     eprintln!("error: {e}");
@@ -758,7 +760,7 @@ fn main() -> ExitCode {
             output.ablations.push(a);
         }
         "resilience" => {
-            let a = match eevfs_bench::ablate::try_ablate_resilience_on(&runner, p) {
+            let a = match eevfs_bench::ablate::ablate_resilience(&runner, p) {
                 Ok(a) => a,
                 Err(e) => {
                     eprintln!("error: {e}");
@@ -799,7 +801,7 @@ fn main() -> ExitCode {
             output.ablations.push(a);
         }
         "scrub" => {
-            let a = match eevfs_bench::ablate::try_ablate_scrub_on(&runner, p) {
+            let a = match eevfs_bench::ablate::ablate_scrub(&runner, p) {
                 Ok(a) => a,
                 Err(e) => {
                     eprintln!("error: {e}");
@@ -842,9 +844,7 @@ fn main() -> ExitCode {
             output.ablations.push(a);
         }
         "power" => {
-            use eevfs_bench::power::{
-                adaptive_beats_fixed, render_power_report, run_power_grid_on,
-            };
+            use eevfs_bench::power::{adaptive_beats_fixed, render_power_report, run_power_grid};
 
             eprintln!(
                 "power: predictor × tier × workload grid, {} requests/run, \
@@ -852,8 +852,8 @@ fn main() -> ExitCode {
                 p.requests,
                 runner.jobs()
             );
-            let serial_pts = run_power_grid_on(&Runner::serial(), p);
-            let parallel_pts = run_power_grid_on(&runner, p);
+            let serial_pts = run_power_grid(&Runner::serial(), p);
+            let parallel_pts = run_power_grid(&runner, p);
             let (serial_json, parallel_json) = match (
                 serde_json::to_string(&serial_pts),
                 serde_json::to_string(&parallel_pts),

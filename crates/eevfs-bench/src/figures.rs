@@ -7,8 +7,8 @@
 
 use crate::runner::Runner;
 use crate::sweeps::{
-    berkeley_experiment, sweep_data_size_on, sweep_inter_arrival_on, sweep_mu_on,
-    sweep_prefetch_k_on, ExperimentPoint, SweepParams,
+    berkeley_experiment, sweep_data_size, sweep_inter_arrival, sweep_mu, sweep_prefetch_k,
+    ExperimentPoint, SweepParams,
 };
 use serde::{Deserialize, Serialize};
 
@@ -44,18 +44,13 @@ impl Panel {
         }
     }
 
-    /// Runs the underlying sweep serially.
-    pub fn run(self, p: &SweepParams) -> Vec<ExperimentPoint> {
-        self.run_on(&Runner::serial(), p)
-    }
-
     /// Runs the underlying sweep with its points fanned out on `runner`.
-    pub fn run_on(self, runner: &Runner, p: &SweepParams) -> Vec<ExperimentPoint> {
+    pub fn run(self, runner: &Runner, p: &SweepParams) -> Vec<ExperimentPoint> {
         match self {
-            Panel::DataSize => sweep_data_size_on(runner, p),
-            Panel::Mu => sweep_mu_on(runner, p),
-            Panel::InterArrival => sweep_inter_arrival_on(runner, p),
-            Panel::PrefetchK => sweep_prefetch_k_on(runner, p),
+            Panel::DataSize => sweep_data_size(runner, p),
+            Panel::Mu => sweep_mu(runner, p),
+            Panel::InterArrival => sweep_inter_arrival(runner, p),
+            Panel::PrefetchK => sweep_prefetch_k(runner, p),
         }
     }
 }
@@ -95,7 +90,7 @@ impl Figure {
 
 /// Fig 3: energy consumption (J) as a function of the panel's parameter.
 pub fn fig3(panel: Panel, p: &SweepParams) -> Figure {
-    let pts = panel.run(p);
+    let pts = panel.run(&Runner::serial(), p);
     fig3_view(panel, &pts)
 }
 
@@ -113,7 +108,7 @@ pub fn fig3_view(panel: Panel, pts: &[ExperimentPoint]) -> Figure {
 /// Fig 4: total power-state transitions (PF runs; the paper's NPF column
 /// is implicitly zero and is included for completeness).
 pub fn fig4(panel: Panel, p: &SweepParams) -> Figure {
-    let pts = panel.run(p);
+    let pts = panel.run(&Runner::serial(), p);
     fig4_view(panel, &pts)
 }
 
@@ -130,7 +125,7 @@ pub fn fig4_view(panel: Panel, pts: &[ExperimentPoint]) -> Figure {
 
 /// Fig 5: mean file-request response time (s).
 pub fn fig5(panel: Panel, p: &SweepParams) -> Figure {
-    let pts = panel.run(p);
+    let pts = panel.run(&Runner::serial(), p);
     fig5_view(panel, &pts)
 }
 
@@ -198,7 +193,7 @@ mod tests {
 
     #[test]
     fn views_reuse_sweep_points() {
-        let pts = Panel::Mu.run(&quick());
+        let pts = Panel::Mu.run(&Runner::serial(), &quick());
         let e = fig3_view(Panel::Mu, &pts);
         let t = fig4_view(Panel::Mu, &pts);
         let r = fig5_view(Panel::Mu, &pts);

@@ -156,15 +156,10 @@ fn point_from_run(label: String, streams: u32, gated: bool, m: &RunMetrics) -> L
     }
 }
 
-/// Runs the closed-loop offered-load grid serially.
-pub fn run_load_grid(p: &SweepParams) -> Vec<LoadPoint> {
-    run_load_grid_on(&Runner::serial(), p)
-}
-
-/// [`run_load_grid`] with its cells fanned out on `runner`. Cells are
-/// pure functions of `(streams, gated, p)`, so any `--jobs` count yields
-/// byte-identical results.
-pub fn run_load_grid_on(runner: &Runner, p: &SweepParams) -> Vec<LoadPoint> {
+/// Runs the closed-loop offered-load grid with its cells fanned out on
+/// `runner`. Cells are pure functions of `(streams, gated, p)`, so any
+/// `--jobs` count yields byte-identical results.
+pub fn run_load_grid(runner: &Runner, p: &SweepParams) -> Vec<LoadPoint> {
     let cells: Vec<(u32, bool)> = GRID_STREAMS
         .iter()
         .flat_map(|&s| [(s, false), (s, true)])
@@ -258,7 +253,7 @@ fn pf_npf_closed(
 /// 3. `fig4c-transitions` — PF transition counts vs inter-arrival delay;
 /// 4. `fig5c-penalty` — response penalty vs delay, including the
 ///    0 ms savings cell (`fig3c-0ms-savings`).
-pub fn deviation_cells_on(runner: &Runner, p: &SweepParams) -> Vec<DeviationCell> {
+pub fn deviation_cells(runner: &Runner, p: &SweepParams) -> Vec<DeviationCell> {
     let cluster = ClusterSpec::paper_testbed();
     let base = SyntheticSpec {
         requests: p.requests,
@@ -509,7 +504,7 @@ mod tests {
 
     #[test]
     fn load_grid_saturates_and_passes_its_own_gate() {
-        let pts = run_load_grid(&small_params());
+        let pts = run_load_grid(&Runner::serial(), &small_params());
         assert_eq!(pts.len(), GRID_STREAMS.len() * 2);
         let gate = saturation_gate(&pts, 60_000.0);
         assert!(gate.is_empty(), "gate tripped: {gate:?}");
@@ -527,8 +522,8 @@ mod tests {
     #[test]
     fn load_grid_is_byte_identical_across_jobs() {
         let p = small_params();
-        let serial = run_load_grid(&p);
-        let parallel = run_load_grid_on(&Runner::new(4), &p);
+        let serial = run_load_grid(&Runner::serial(), &p);
+        let parallel = run_load_grid(&Runner::new(4), &p);
         let a = serde_json::to_string(&serial).unwrap();
         let b = serde_json::to_string(&parallel).unwrap();
         assert_eq!(a, b, "--jobs must not change the curve");
@@ -536,7 +531,7 @@ mod tests {
 
     #[test]
     fn deviation_cells_cover_all_four_deviations() {
-        let cells = deviation_cells_on(&Runner::serial(), &small_params());
+        let cells = deviation_cells(&Runner::serial(), &small_params());
         for name in [
             "fig3a-savings",
             "fig3a-penalty",

@@ -4,7 +4,7 @@
 //! manager. This module sweeps the `eevfs-power` policy plane instead:
 //! each grid cell runs one workload under one
 //! [`PredictorConfig`] × [`TierConfig`] combination via
-//! [`run_cluster_powered`], and the report compares energy, response
+//! [`simulate`], and the report compares energy, response
 //! time, and sleep-prediction accuracy against the paper's fixed
 //! 5-second threshold with no cache tier (the `fixed/none` row, which
 //! reproduces the static baseline).
@@ -16,7 +16,7 @@
 use crate::runner::Runner;
 use crate::sweeps::SweepParams;
 use eevfs::config::{ClusterSpec, EevfsConfig};
-use eevfs::driver::run_cluster_powered;
+use eevfs::driver::{simulate, Scenario};
 use eevfs::metrics::RunMetrics;
 use eevfs_power::{EvictionPolicy, PowerPolicy, PredictorConfig, TierConfig};
 use serde::{Deserialize, Serialize};
@@ -104,15 +104,12 @@ fn workloads(p: &SweepParams) -> Vec<(String, Trace)> {
     ]
 }
 
-/// Runs the full predictor × tier × workload grid serially.
-pub fn run_power_grid(p: &SweepParams) -> Vec<PowerPoint> {
-    run_power_grid_on(&Runner::serial(), p)
-}
-
-/// [`run_power_grid`] with cells fanned out on `runner`. Cell order (and
-/// therefore output order) is fixed regardless of job count.
-pub fn run_power_grid_on(runner: &Runner, p: &SweepParams) -> Vec<PowerPoint> {
+/// Runs the full predictor × tier × workload grid with cells fanned out on
+/// `runner`. Cell order (and therefore output order) is fixed regardless
+/// of job count.
+pub fn run_power_grid(runner: &Runner, p: &SweepParams) -> Vec<PowerPoint> {
     let cluster = ClusterSpec::paper_testbed();
+    let cfg = EevfsConfig::paper_pf(70);
     let mut cells = Vec::new();
     for (wname, trace) in workloads(p) {
         for pred in predictor_grid() {
@@ -127,7 +124,11 @@ pub fn run_power_grid_on(runner: &Runner, p: &SweepParams) -> Vec<PowerPoint> {
             tier: *tier,
             ..PowerPolicy::paper_fixed()
         };
-        let run = run_cluster_powered(&cluster, &EevfsConfig::paper_pf(70), trace, &policy);
+        let scenario = Scenario {
+            power: Some(&policy),
+            ..Scenario::new(&cluster, &cfg, trace)
+        };
+        let (run, _) = simulate(&scenario, None).unwrap_or_else(|e| panic!("{e}"));
         PowerPoint {
             workload: wname.clone(),
             predictor: pred.label().to_string(),
@@ -225,7 +226,7 @@ mod tests {
 
     #[test]
     fn grid_covers_every_combination_once() {
-        let pts = run_power_grid(&small_params());
+        let pts = run_power_grid(&Runner::serial(), &small_params());
         assert_eq!(pts.len(), 2 * 3 * 3);
         for pred in ["fixed", "ewma", "bandit"] {
             for w in ["synthetic", "berkeley"] {
@@ -243,8 +244,8 @@ mod tests {
     #[test]
     fn parallel_grid_is_byte_identical_to_serial() {
         let p = small_params();
-        let serial = run_power_grid_on(&Runner::serial(), &p);
-        let parallel = run_power_grid_on(&Runner::new(2), &p);
+        let serial = run_power_grid(&Runner::serial(), &p);
+        let parallel = run_power_grid(&Runner::new(2), &p);
         let a = serde_json::to_string(&serial).expect("serialise");
         let b = serde_json::to_string(&parallel).expect("serialise");
         assert_eq!(a, b);
@@ -253,14 +254,14 @@ mod tests {
     #[test]
     fn same_seed_grid_replay_is_bit_identical() {
         let p = small_params();
-        let a = serde_json::to_string(&run_power_grid(&p)).expect("serialise");
-        let b = serde_json::to_string(&run_power_grid(&p)).expect("serialise");
+        let a = serde_json::to_string(&run_power_grid(&Runner::serial(), &p)).expect("serialise");
+        let b = serde_json::to_string(&run_power_grid(&Runner::serial(), &p)).expect("serialise");
         assert_eq!(a, b, "same-seed power grid must replay bit-identically");
     }
 
     #[test]
     fn tiers_absorb_reads_and_report_hits() {
-        let pts = run_power_grid(&small_params());
+        let pts = run_power_grid(&Runner::serial(), &small_params());
         let tiered = pts
             .iter()
             .find(|pt| pt.tier != "none" && pt.workload == "berkeley")
@@ -274,7 +275,7 @@ mod tests {
 
     #[test]
     fn report_names_every_row() {
-        let pts = run_power_grid(&small_params());
+        let pts = run_power_grid(&Runner::serial(), &small_params());
         let report = render_power_report(&pts);
         for label in ["fixed", "ewma", "bandit", "none"] {
             assert!(report.contains(label), "missing {label} in:\n{report}");

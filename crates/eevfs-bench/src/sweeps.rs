@@ -78,12 +78,8 @@ fn pf_npf(
 }
 
 /// Fig 3(a)/4(a)/5(a): data size ∈ {1, 10, 25, 50} MB.
-pub fn sweep_data_size(p: &SweepParams) -> Vec<ExperimentPoint> {
-    sweep_data_size_on(&Runner::serial(), p)
-}
-
-/// [`sweep_data_size`] with its grid points fanned out on `runner`.
-pub fn sweep_data_size_on(runner: &Runner, p: &SweepParams) -> Vec<ExperimentPoint> {
+/// Grid points fan out on `runner`.
+pub fn sweep_data_size(runner: &Runner, p: &SweepParams) -> Vec<ExperimentPoint> {
     let cluster = ClusterSpec::paper_testbed();
     runner.map(&[1u64, 10, 25, 50], |_, &mb| {
         let trace = generate(&SyntheticSpec {
@@ -101,12 +97,8 @@ pub fn sweep_data_size_on(runner: &Runner, p: &SweepParams) -> Vec<ExperimentPoi
 }
 
 /// Fig 3(b)/4(b)/5(b): MU ∈ {1, 10, 100, 1000}.
-pub fn sweep_mu(p: &SweepParams) -> Vec<ExperimentPoint> {
-    sweep_mu_on(&Runner::serial(), p)
-}
-
-/// [`sweep_mu`] with its grid points fanned out on `runner`.
-pub fn sweep_mu_on(runner: &Runner, p: &SweepParams) -> Vec<ExperimentPoint> {
+/// Grid points fan out on `runner`.
+pub fn sweep_mu(runner: &Runner, p: &SweepParams) -> Vec<ExperimentPoint> {
     let cluster = ClusterSpec::paper_testbed();
     runner.map(&[1.0f64, 10.0, 100.0, 1000.0], |_, &mu| {
         let trace = generate(&SyntheticSpec { mu, ..base_spec(p) });
@@ -121,12 +113,8 @@ pub fn sweep_mu_on(runner: &Runner, p: &SweepParams) -> Vec<ExperimentPoint> {
 }
 
 /// Fig 3(c)/4(c)/5(c): inter-arrival delay ∈ {0, 350, 700, 1000} ms.
-pub fn sweep_inter_arrival(p: &SweepParams) -> Vec<ExperimentPoint> {
-    sweep_inter_arrival_on(&Runner::serial(), p)
-}
-
-/// [`sweep_inter_arrival`] with its grid points fanned out on `runner`.
-pub fn sweep_inter_arrival_on(runner: &Runner, p: &SweepParams) -> Vec<ExperimentPoint> {
+/// Grid points fan out on `runner`.
+pub fn sweep_inter_arrival(runner: &Runner, p: &SweepParams) -> Vec<ExperimentPoint> {
     let cluster = ClusterSpec::paper_testbed();
     runner.map(&[0u64, 350, 700, 1000], |_, &ms| {
         let trace = generate(&SyntheticSpec {
@@ -144,14 +132,9 @@ pub fn sweep_inter_arrival_on(runner: &Runner, p: &SweepParams) -> Vec<Experimen
 }
 
 /// Fig 3(d)/4(d)/5(d): files to prefetch ∈ {10, 40, 70, 100}.
-pub fn sweep_prefetch_k(p: &SweepParams) -> Vec<ExperimentPoint> {
-    sweep_prefetch_k_on(&Runner::serial(), p)
-}
-
-/// [`sweep_prefetch_k`] with its grid points fanned out on `runner`.
-/// All four K values replay the same trace, so it is generated once and
-/// borrowed by every worker.
-pub fn sweep_prefetch_k_on(runner: &Runner, p: &SweepParams) -> Vec<ExperimentPoint> {
+/// Grid points fan out on `runner`; all four K values replay the same
+/// trace, so it is generated once and borrowed by every worker.
+pub fn sweep_prefetch_k(runner: &Runner, p: &SweepParams) -> Vec<ExperimentPoint> {
     let cluster = ClusterSpec::paper_testbed();
     let trace = generate(&base_spec(p));
     runner.map(&[10u32, 40, 70, 100], |_, &k| {
@@ -280,7 +263,7 @@ mod tests {
 
     #[test]
     fn data_size_sweep_has_four_points_and_positive_savings() {
-        let pts = sweep_data_size(&quick());
+        let pts = sweep_data_size(&Runner::serial(), &quick());
         assert_eq!(pts.len(), 4);
         for pt in &pts {
             assert!(pt.savings() > 0.0, "{}: savings {}", pt.label, pt.savings());
@@ -289,7 +272,7 @@ mod tests {
 
     #[test]
     fn mu_sweep_savings_fall_with_mu() {
-        let pts = sweep_mu(&quick());
+        let pts = sweep_mu(&Runner::serial(), &quick());
         let s: Vec<f64> = pts.iter().map(|p| p.savings()).collect();
         // MU <= 100 all fully covered: equal (within noise); MU=1000 lower.
         assert!(s[3] < s[0], "MU=1000 should save less than MU=1: {s:?}");
@@ -301,7 +284,7 @@ mod tests {
 
     #[test]
     fn prefetch_sweep_savings_rise_with_k() {
-        let pts = sweep_prefetch_k(&quick());
+        let pts = sweep_prefetch_k(&Runner::serial(), &quick());
         let s: Vec<f64> = pts.iter().map(|p| p.savings()).collect();
         assert!(s[3] > s[0], "K=100 should beat K=10: {s:?}");
         // NPF baseline identical across K (same trace).

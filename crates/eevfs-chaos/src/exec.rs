@@ -2,17 +2,20 @@
 //!
 //! The executor rebuilds every driver input from the schedule's explicit
 //! fields — synthetic trace, paper testbed cluster, validated plans, RPC
-//! policy, optional power plane — and runs the composite
-//! [`eevfs::driver::try_run_cluster_chaos`] entry point under
-//! `catch_unwind`, so a simulator panic becomes data (an `engine-panic`
-//! outcome) instead of poisoning the search. Nothing here draws fresh
-//! randomness: the outcome is a pure function of the schedule.
+//! policy, optional power plane — into one [`Scenario`] with the fault,
+//! resilience and durability planes on, and runs it through
+//! [`eevfs::driver::simulate`] under `catch_unwind`: a rejected input
+//! comes back as a typed error, and a simulator panic becomes data (an
+//! `engine-panic` outcome) instead of poisoning the search. Nothing here
+//! draws fresh randomness: the outcome is a pure function of the
+//! schedule.
 
 use crate::schedule::{ChaosSchedule, BLOCKS_PER_DISK};
 use eevfs::config::{ClusterSpec, EevfsConfig};
-use eevfs::driver::{ChaosSetup, DurabilitySetup, ResilienceSetup};
+use eevfs::driver::{simulate, DurabilitySetup, ObsReport, ResilienceSetup, Scenario};
 use eevfs::scrub::ScrubPolicy;
 use eevfs::RunMetrics;
+use eevfs_obs::Recorder;
 use eevfs_power::{EvictionPolicy, PowerPolicy, TierConfig};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use workload::synthetic::{generate, SyntheticSpec};
@@ -50,45 +53,10 @@ pub fn power_policy(s: &ChaosSchedule) -> Option<PowerPolicy> {
 /// Executes a schedule once. Deterministic: same schedule, same outcome,
 /// bit-for-bit — including the panic message when the engine panics.
 pub fn execute(s: &ChaosSchedule) -> RunOutcome {
-    let trace = generate(&SyntheticSpec {
-        requests: s.requests,
-        seed: s.seed,
-        ..SyntheticSpec::paper_default()
-    });
-    let cluster = ClusterSpec::paper_testbed();
-    let mut cfg = EevfsConfig::paper_pf_replicated(70, s.replication);
-    cfg.overload = s.overload.map(eevfs::config::OverloadConfig::bounded);
-    let plans = match s.plans() {
-        Ok(p) => p,
-        Err(e) => return RunOutcome::Rejected(format!("bad schedule: {e}")),
-    };
-    let policy = s.rpc_policy();
-    let power = power_policy(s);
-    let setup = ChaosSetup {
-        resilience: Some(ResilienceSetup {
-            net_plan: &plans.net,
-            profile: &s.profile,
-            policy: &policy,
-        }),
-        durability: Some(DurabilitySetup {
-            corruption: &plans.corruption,
-            crashes: &plans.crashes,
-            scrub: if s.scrub {
-                ScrubPolicy::piggyback_default()
-            } else {
-                ScrubPolicy::Off
-            },
-            blocks_per_disk: BLOCKS_PER_DISK,
-        }),
-        power: power.as_ref(),
-    };
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        eevfs::driver::try_run_cluster_chaos(&cluster, &cfg, &trace, &plans.faults, setup)
-    }));
-    match result {
-        Ok(Ok(metrics)) => RunOutcome::Done(Box::new(metrics)),
-        Ok(Err(e)) => RunOutcome::Rejected(e.to_string()),
-        Err(payload) => RunOutcome::Panicked(panic_text(payload)),
+    match run(s, None) {
+        Ok((metrics, _)) => RunOutcome::Done(Box::new(metrics)),
+        Err(Failure::Rejected(e)) => RunOutcome::Rejected(e),
+        Err(Failure::Panicked(p)) => RunOutcome::Panicked(p),
     }
 }
 
@@ -97,18 +65,40 @@ pub fn execute(s: &ChaosSchedule) -> RunOutcome {
 #[derive(Debug)]
 pub enum ObservedOutcome {
     /// The run completed with its trace captured.
-    Done(Box<RunMetrics>, Box<eevfs::driver::ObsReport>),
+    Done(Box<RunMetrics>, Box<ObsReport>),
     /// The driver rejected the inputs with a typed error.
     Rejected(String),
     /// The simulator panicked mid-run.
     Panicked(String),
 }
 
-/// Executes a schedule once with a [`Recorder`](eevfs_obs::Recorder)
-/// attached, so the ledger-closure invariant can reconstruct spans and
-/// residency from the trace. Observation is passive: the metrics are
-/// bit-identical to what [`execute`] returns for the same schedule.
+/// Executes a schedule once with a [`Recorder`] attached, so the
+/// ledger-closure invariant can reconstruct spans and residency from the
+/// trace. Observation is passive: the metrics are bit-identical to what
+/// [`execute`] returns for the same schedule.
 pub fn execute_observed(s: &ChaosSchedule) -> ObservedOutcome {
+    match run(s, Some(Recorder::default())) {
+        Ok((metrics, report)) => ObservedOutcome::Done(
+            Box::new(metrics),
+            Box::new(report.expect("a recorder was supplied")),
+        ),
+        Err(Failure::Rejected(e)) => ObservedOutcome::Rejected(e),
+        Err(Failure::Panicked(p)) => ObservedOutcome::Panicked(p),
+    }
+}
+
+/// Why [`run`] returned no metrics.
+enum Failure {
+    Rejected(String),
+    Panicked(String),
+}
+
+/// Rebuilds every driver input from the schedule and simulates it, with
+/// `recorder` attached when one is given.
+fn run(
+    s: &ChaosSchedule,
+    recorder: Option<Recorder>,
+) -> Result<(RunMetrics, Option<ObsReport>), Failure> {
     let trace = generate(&SyntheticSpec {
         requests: s.requests,
         seed: s.seed,
@@ -117,13 +107,13 @@ pub fn execute_observed(s: &ChaosSchedule) -> ObservedOutcome {
     let cluster = ClusterSpec::paper_testbed();
     let mut cfg = EevfsConfig::paper_pf_replicated(70, s.replication);
     cfg.overload = s.overload.map(eevfs::config::OverloadConfig::bounded);
-    let plans = match s.plans() {
-        Ok(p) => p,
-        Err(e) => return ObservedOutcome::Rejected(format!("bad schedule: {e}")),
-    };
+    let plans = s
+        .plans()
+        .map_err(|e| Failure::Rejected(format!("bad schedule: {e}")))?;
     let policy = s.rpc_policy();
     let power = power_policy(s);
-    let setup = ChaosSetup {
+    let scenario = Scenario {
+        faults: &plans.faults,
         resilience: Some(ResilienceSetup {
             net_plan: &plans.net,
             profile: &s.profile,
@@ -140,21 +130,12 @@ pub fn execute_observed(s: &ChaosSchedule) -> ObservedOutcome {
             blocks_per_disk: BLOCKS_PER_DISK,
         }),
         power: power.as_ref(),
+        ..Scenario::new(&cluster, &cfg, &trace)
     };
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        eevfs::driver::try_run_cluster_chaos_observed(
-            &cluster,
-            &cfg,
-            &trace,
-            &plans.faults,
-            setup,
-            eevfs_obs::Recorder::default(),
-        )
-    }));
-    match result {
-        Ok(Ok((metrics, report))) => ObservedOutcome::Done(Box::new(metrics), Box::new(report)),
-        Ok(Err(e)) => ObservedOutcome::Rejected(e.to_string()),
-        Err(payload) => ObservedOutcome::Panicked(panic_text(payload)),
+    match catch_unwind(AssertUnwindSafe(|| simulate(&scenario, recorder))) {
+        Ok(Ok(run)) => Ok(run),
+        Ok(Err(e)) => Err(Failure::Rejected(e.to_string())),
+        Err(payload) => Err(Failure::Panicked(panic_text(payload))),
     }
 }
 

@@ -1,7 +1,9 @@
 //! Whole-cluster simulation driver (§IV-A process flow, §VI experiments).
 //!
-//! [`run_cluster`] replays a trace against a simulated EEVFS cluster and
-//! returns the paper's metrics. The run follows the paper's six steps:
+//! [`simulate`] replays a [`Scenario`] — a trace, a simulated EEVFS
+//! cluster, and the optional fault, resilience, durability, and power
+//! planes — and returns the paper's metrics; [`run_cluster`] is its
+//! healthy-cluster shorthand. The run follows the paper's six steps:
 //!
 //! 1. **Init** — storage nodes built from the cluster spec.
 //! 2. **Popularity** — the server derives popularity from the trace (its
@@ -18,7 +20,7 @@
 //!    the file back to the client over its NIC.
 //!
 //! Everything is event-driven over the deterministic queue from
-//! `sim-core`; a run is a pure function of `(cluster, cfg, trace)`.
+//! `sim-core`; a run is a pure function of its scenario.
 
 // Fault-path audit (ISSUE 7): input rejection goes through `DriverError`;
 // `.unwrap()` is banned here so new code can't reintroduce silent panics.
@@ -1543,43 +1545,79 @@ impl Model for ClusterSim {
     }
 }
 
-/// Runs one experiment: replays `trace` on `cluster` under `cfg`.
+/// Everything one simulation replays: the cluster, the EEVFS
+/// configuration, the trace, and which of the optional planes are on.
 ///
-/// # Panics
-/// Panics on invalid cluster specs or traces — experiment configs are
-/// programmer input, not runtime data.
-pub fn run_cluster(cluster: &ClusterSpec, cfg: &EevfsConfig, trace: &Trace) -> RunMetrics {
-    run_cluster_inner(
-        cluster,
-        cfg,
-        trace,
-        false,
-        &FaultPlan::none(),
-        None,
-        None,
-        None,
-        None,
-    )
-    .0
+/// [`Scenario::new`] turns every plane off; set the rest with
+/// struct-update syntax:
+///
+/// ```
+/// # use eevfs::config::{ClusterSpec, EevfsConfig};
+/// # use eevfs::driver::{simulate, Scenario};
+/// # use fault_model::FaultPlan;
+/// # use sim_core::SimTime;
+/// # use workload::synthetic::{generate, SyntheticSpec};
+/// let trace = generate(&SyntheticSpec { requests: 50, ..SyntheticSpec::paper_default() });
+/// let cluster = ClusterSpec::paper_testbed();
+/// let cfg = EevfsConfig::paper_pf_replicated(70, 2);
+/// let faults = FaultPlan::builder().node_crash(SimTime::ZERO, 0).build();
+/// let scenario = Scenario { faults: &faults, ..Scenario::new(&cluster, &cfg, &trace) };
+/// let (metrics, _) = simulate(&scenario, None).unwrap();
+/// assert_eq!(metrics.fault_events, 1);
+/// ```
+///
+/// Every plan time (disk faults, network faults, corruption, crashes) is
+/// relative to the start of the trace replay, after the prefetch warm-up.
+/// A run is a pure function of its scenario: the same inputs replay
+/// bit-identically, every counter included.
+#[derive(Debug, Clone, Copy)]
+pub struct Scenario<'a> {
+    /// The simulated hardware.
+    pub cluster: &'a ClusterSpec,
+    /// Placement, buffer, power, and arrival policy.
+    pub cfg: &'a EevfsConfig,
+    /// The request stream to replay.
+    pub trace: &'a Trace,
+    /// Disk and node faults. Requests that hit a dead node or disk are
+    /// re-routed to surviving replicas with a bounded retry budget; the
+    /// run always terminates and accounts every request, abandoned ones
+    /// included (`failed_requests`).
+    pub faults: &'a FaultPlan,
+    /// Network faults on the server→node leg and the RPC policy every
+    /// request runs under; `None` for a perfect network.
+    pub resilience: Option<ResilienceSetup<'a>>,
+    /// Corruption and crash schedules plus scrubbing; `None` disables the
+    /// durability layer.
+    pub durability: Option<DurabilitySetup<'a>>,
+    /// The `eevfs-power` policy plane; `None` keeps the paper's static
+    /// idle threshold and hint-driven power manager.
+    pub power: Option<&'a eevfs_power::PowerPolicy>,
 }
 
-/// Like [`run_cluster`], but injects the fault schedule into the replay.
-/// Plan times are relative to the start of the trace replay (after the
-/// prefetch warm-up). Requests that hit a dead node or disk are re-routed
-/// to surviving replicas with a bounded retry budget; the run always
-/// terminates and accounts every request, abandoned ones included
-/// (`failed_requests`).
-pub fn run_cluster_faulted(
-    cluster: &ClusterSpec,
-    cfg: &EevfsConfig,
-    trace: &Trace,
-    faults: &FaultPlan,
-) -> RunMetrics {
-    run_cluster_inner(cluster, cfg, trace, false, faults, None, None, None, None).0
+static NO_FAULTS: FaultPlan = FaultPlan::none();
+
+impl<'a> Scenario<'a> {
+    /// A healthy run of `trace` on `cluster` under `cfg`: no faults, a
+    /// perfect network, no durability layer, no policy plane.
+    pub fn new(cluster: &'a ClusterSpec, cfg: &'a EevfsConfig, trace: &'a Trace) -> Self {
+        Scenario {
+            cluster,
+            cfg,
+            trace,
+            faults: &NO_FAULTS,
+            resilience: None,
+            durability: None,
+            power: None,
+        }
+    }
 }
 
-/// The network-resilience knobs for [`run_cluster_resilient`], borrowed
-/// together so call sites stay readable.
+/// The network-resilience plane of a [`Scenario`]: network faults are
+/// injected on the server→node leg and every request runs under the RPC
+/// resilience policy — bounded retries with deterministic jittered
+/// backoff, per-node circuit breakers gating replica selection, and hedged
+/// reads that race a second replica (whose duplicate disk activations are
+/// charged to the run's energy, the paper-relevant hedging penalty).
 #[derive(Debug, Clone, Copy)]
 pub struct ResilienceSetup<'a> {
     /// Scheduled partitions/heals on the server↔node links.
@@ -1590,42 +1628,16 @@ pub struct ResilienceSetup<'a> {
     pub policy: &'a RpcPolicy,
 }
 
-/// Like [`run_cluster_faulted`], but additionally injects *network* faults
-/// on the server→node leg and runs every request under the RPC resilience
-/// policy: bounded retries with deterministic jittered backoff, per-node
-/// circuit breakers gating replica selection, and hedged reads that race a
-/// second replica (whose duplicate disk activations are charged to the
-/// run's energy — the paper-relevant hedging penalty). Network fault plan
-/// times are replay-relative, like disk fault plans. A run remains a pure
-/// function of its inputs: replaying the same (config, trace, plans,
-/// policy) is bit-identical, including every [`ResilienceStats`] counter.
-pub fn run_cluster_resilient(
-    cluster: &ClusterSpec,
-    cfg: &EevfsConfig,
-    trace: &Trace,
-    faults: &FaultPlan,
-    setup: ResilienceSetup<'_>,
-) -> RunMetrics {
-    run_cluster_inner(
-        cluster,
-        cfg,
-        trace,
-        false,
-        faults,
-        Some(setup),
-        None,
-        None,
-        None,
-    )
-    .0
-}
-
-/// The integrity and crash-recovery knobs for [`run_cluster_durable`],
-/// borrowed together so call sites stay readable.
+/// The durability plane of a [`Scenario`]: silent data corruption and
+/// crash/restart schedules, per-block CRC verification on every physical
+/// read, an opportunistic scrubber that rides Active spindles (never
+/// waking a sleeping disk), repair of detected blocks from replicas via
+/// the energy-aware selector, and a per-node buffer-disk metadata journal
+/// replayed at each restart. Integrity transfers are charged to the
+/// separate [`RunMetrics::scrub_energy_j`] meter.
 #[derive(Debug, Clone, Copy)]
 pub struct DurabilitySetup<'a> {
-    /// Seeded latent-sector-error / bit-flip schedule. Times are
-    /// replay-relative, like fault plans.
+    /// Seeded latent-sector-error / bit-flip schedule.
     pub corruption: &'a CorruptionPlan,
     /// Node crash/restart schedule; each restart replays that node's
     /// buffer-disk journal.
@@ -1635,88 +1647,6 @@ pub struct DurabilitySetup<'a> {
     /// Blocks per disk in the scrub address space; must cover every block
     /// coordinate the corruption plan targets.
     pub blocks_per_disk: u32,
-}
-
-/// Like [`run_cluster_faulted`], but additionally injects silent data
-/// corruption and crash/restart schedules and runs the durability layer:
-/// per-block CRC verification on every physical read, an opportunistic
-/// scrubber that rides Active spindles (never waking a sleeping disk),
-/// repair of detected blocks from replicas via the energy-aware selector,
-/// and a per-node buffer-disk metadata journal replayed at each restart.
-/// Integrity transfers are charged to the separate
-/// [`RunMetrics::scrub_energy_j`] meter. Corruption/crash plan times are
-/// replay-relative. A run stays a pure function of its inputs: the same
-/// (config, trace, plans, policy) replays bit-identically, every
-/// [`DurabilityStats`] counter included.
-pub fn run_cluster_durable(
-    cluster: &ClusterSpec,
-    cfg: &EevfsConfig,
-    trace: &Trace,
-    faults: &FaultPlan,
-    durability: DurabilitySetup<'_>,
-) -> RunMetrics {
-    run_cluster_inner(
-        cluster,
-        cfg,
-        trace,
-        false,
-        faults,
-        None,
-        Some(durability),
-        None,
-        None,
-    )
-    .0
-}
-
-/// [`run_cluster_durable`] with a structured trace streamed into
-/// `recorder` (corruption detections, scrub passes, journal replays, and
-/// node restarts included). Observation stays passive: metrics are
-/// identical to the unobserved durable run and the JSONL export is
-/// byte-identical across same-input replays.
-pub fn run_cluster_durable_observed(
-    cluster: &ClusterSpec,
-    cfg: &EevfsConfig,
-    trace: &Trace,
-    faults: &FaultPlan,
-    durability: DurabilitySetup<'_>,
-    recorder: Recorder,
-) -> (RunMetrics, ObsReport) {
-    let (metrics, _, report) = run_cluster_inner(
-        cluster,
-        cfg,
-        trace,
-        false,
-        faults,
-        None,
-        Some(durability),
-        Some(recorder),
-        None,
-    );
-    (metrics, report.expect("observation was requested"))
-}
-
-/// Like [`run_cluster`], but also records and returns the whole-cluster
-/// cumulative-energy curve: `(time, joules-so-far)` samples at 240 uniform
-/// points over the run, including node/server base power. Differentiating
-/// the curve gives the power-over-time view of the experiment.
-pub fn run_cluster_traced(
-    cluster: &ClusterSpec,
-    cfg: &EevfsConfig,
-    trace: &Trace,
-) -> (RunMetrics, sim_core::TimeSeries) {
-    let (metrics, curve, _) = run_cluster_inner(
-        cluster,
-        cfg,
-        trace,
-        true,
-        &FaultPlan::none(),
-        None,
-        None,
-        None,
-        None,
-    );
-    (metrics, curve.expect("curve recording was requested"))
 }
 
 /// The artefacts an observed run captures on top of [`RunMetrics`].
@@ -1730,16 +1660,52 @@ pub struct ObsReport {
     pub registry: MetricsRegistry,
     /// One entry per sleep decision, scored against breakeven.
     pub samples: Vec<PredictionSample>,
+    /// The whole-cluster cumulative-energy curve: `(time, joules-so-far)`
+    /// at 241 uniform points over the run, warm-up and node/server base
+    /// power included. Differentiating it gives power over time.
+    pub energy_curve: sim_core::TimeSeries,
 }
 
-/// Like [`run_cluster_faulted`] / [`run_cluster_resilient`] (pass
-/// `resilience: None` for a perfect network), but additionally streams a
-/// structured trace into `recorder` and collects a metrics registry.
+/// Runs one experiment: replays `scenario` on its simulated cluster.
 ///
-/// Observation is passive: no extra simulation events exist, so the
-/// simulated outcome — every metric, every response time — is identical to
-/// the unobserved run, and the recorder's JSONL export is byte-identical
-/// across same-input replays.
+/// With a `recorder`, the run also streams a structured trace into it and
+/// returns an [`ObsReport`]. Observation is passive: no extra simulation
+/// events exist, so every metric and every response time is identical to
+/// the unobserved run, and the JSONL export is byte-identical across
+/// same-input replays.
+///
+/// # Errors
+/// Every input is checked before the run starts: an invalid cluster or
+/// trace, or a plan that targets nodes, disks, or links outside the
+/// cluster, is returned as a [`DriverError`] instead of unwinding, so
+/// machine-generated scenarios (chaos-search schedules in particular)
+/// surface bad inputs as data.
+pub fn simulate(
+    scenario: &Scenario<'_>,
+    recorder: Option<Recorder>,
+) -> Result<(RunMetrics, Option<ObsReport>), DriverError> {
+    validate_inputs(scenario)?;
+    Ok(run_validated(scenario, recorder))
+}
+
+/// Runs one experiment: replays `trace` on `cluster` under `cfg` with
+/// every optional plane off.
+///
+/// # Panics
+/// Panics on invalid cluster specs or traces — experiment configs are
+/// programmer input, not runtime data.
+pub fn run_cluster(cluster: &ClusterSpec, cfg: &EevfsConfig, trace: &Trace) -> RunMetrics {
+    simulate(&Scenario::new(cluster, cfg, trace), None)
+        .unwrap_or_else(|e| panic!("{e}"))
+        .0
+}
+
+/// [`simulate`] with disk faults, optional network resilience, and a
+/// recorder. Kept because the standalone benchmark package calls it; new
+/// code calls [`simulate`].
+///
+/// # Panics
+/// Panics where [`simulate`] returns a [`DriverError`].
 pub fn run_cluster_observed(
     cluster: &ClusterSpec,
     cfg: &EevfsConfig,
@@ -1748,54 +1714,41 @@ pub fn run_cluster_observed(
     resilience: Option<ResilienceSetup<'_>>,
     recorder: Recorder,
 ) -> (RunMetrics, ObsReport) {
-    let (metrics, _, report) = run_cluster_inner(
-        cluster,
-        cfg,
-        trace,
-        false,
+    let scenario = Scenario {
         faults,
         resilience,
-        None,
-        Some(recorder),
-        None,
-    );
+        ..Scenario::new(cluster, cfg, trace)
+    };
+    let (metrics, report) = simulate(&scenario, Some(recorder)).unwrap_or_else(|e| panic!("{e}"));
     (metrics, report.expect("observation was requested"))
 }
 
-/// Like [`run_cluster`], but drives every power and caching decision
-/// through the `eevfs-power` policy plane built from `policy`: the
-/// configured [`eevfs_power::IdlePredictor`] decides when idle data disks
-/// spin down (superseding the static idle-threshold logic), sleeps are
-/// charged against per-disk spin-cycle budgets, and reads are fronted by
-/// the configured DRAM/SSD cache tiers — tier hits never touch the
-/// data-disk spin-up path and are metered in [`RunMetrics::tier`]. The
-/// run stays a pure function of `(cluster, cfg, trace, policy)`: every
-/// random policy choice draws from streams seeded by `policy.seed`, so
-/// same-input replays are bit-identical.
+/// [`simulate`] with the `eevfs-power` policy plane. Kept because the
+/// standalone benchmark package calls it; new code calls [`simulate`].
+///
+/// # Panics
+/// Panics where [`simulate`] returns a [`DriverError`].
 pub fn run_cluster_powered(
     cluster: &ClusterSpec,
     cfg: &EevfsConfig,
     trace: &Trace,
     policy: &eevfs_power::PowerPolicy,
 ) -> RunMetrics {
-    run_cluster_inner(
-        cluster,
-        cfg,
-        trace,
-        false,
-        &FaultPlan::none(),
-        None,
-        None,
-        None,
-        Some(policy),
-    )
-    .0
+    let scenario = Scenario {
+        power: Some(policy),
+        ..Scenario::new(cluster, cfg, trace)
+    };
+    simulate(&scenario, None)
+        .unwrap_or_else(|e| panic!("{e}"))
+        .0
 }
 
-/// [`run_cluster_powered`] with a structured trace streamed into
-/// `recorder` (tier serves included) and a metrics registry carrying the
-/// tier-hit and sleep-denial counters. Observation stays passive: metrics
-/// are identical to the unobserved powered run.
+/// [`simulate`] with the `eevfs-power` policy plane and a recorder. Kept
+/// because the standalone benchmark package calls it; new code calls
+/// [`simulate`].
+///
+/// # Panics
+/// Panics where [`simulate`] returns a [`DriverError`].
 pub fn run_cluster_powered_observed(
     cluster: &ClusterSpec,
     cfg: &EevfsConfig,
@@ -1803,26 +1756,20 @@ pub fn run_cluster_powered_observed(
     policy: &eevfs_power::PowerPolicy,
     recorder: Recorder,
 ) -> (RunMetrics, ObsReport) {
-    let (metrics, _, report) = run_cluster_inner(
-        cluster,
-        cfg,
-        trace,
-        false,
-        &FaultPlan::none(),
-        None,
-        None,
-        Some(recorder),
-        Some(policy),
-    );
+    let scenario = Scenario {
+        power: Some(policy),
+        ..Scenario::new(cluster, cfg, trace)
+    };
+    let (metrics, report) = simulate(&scenario, Some(recorder)).unwrap_or_else(|e| panic!("{e}"));
     (metrics, report.expect("observation was requested"))
 }
 
-/// A typed rejection from the fallible driver entry points.
+/// A typed rejection from [`simulate`].
 ///
-/// The panicking entry points ([`run_cluster`] and friends) treat these as
-/// programmer errors; the fallible ones ([`try_run_cluster_chaos`]) return
-/// them so machine-generated configurations — chaos-search schedules in
-/// particular — surface bad inputs as data instead of unwinding.
+/// [`run_cluster`] treats these as programmer errors and panics;
+/// [`simulate`] returns them so machine-generated configurations —
+/// chaos-search schedules in particular — surface bad inputs as data
+/// instead of unwinding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DriverError {
     /// The cluster spec failed [`ClusterSpec::validate`].
@@ -1854,28 +1801,25 @@ impl std::fmt::Display for DriverError {
 impl std::error::Error for DriverError {}
 
 /// Checks every input the driver would otherwise assert on.
-fn validate_inputs(
-    cluster: &ClusterSpec,
-    trace: &Trace,
-    faults: &FaultPlan,
-    resilience: Option<&ResilienceSetup<'_>>,
-    durability: Option<&DurabilitySetup<'_>>,
-) -> Result<(), DriverError> {
+fn validate_inputs(s: &Scenario<'_>) -> Result<(), DriverError> {
+    let cluster = s.cluster;
     cluster
         .validate()
         .map_err(|e| DriverError::BadCluster(e.to_string()))?;
-    trace
+    s.trace
         .validate()
         .map_err(|e| DriverError::BadTrace(e.to_string()))?;
     let max_disks = cluster.data_disk_counts().into_iter().max().unwrap_or(0) as u32;
-    let stray = faults.out_of_range(cluster.node_count() as u32, max_disks);
+    let stray = s
+        .faults
+        .out_of_range(cluster.node_count() as u32, max_disks);
     if !stray.is_empty() {
         return Err(DriverError::PlanOutOfRange {
             plan: "fault",
             detail: format!("{stray:?}"),
         });
     }
-    if let Some(setup) = resilience {
+    if let Some(setup) = s.resilience {
         let stray = setup.net_plan.out_of_range(cluster.node_count() as u32);
         if !stray.is_empty() {
             return Err(DriverError::PlanOutOfRange {
@@ -1884,7 +1828,7 @@ fn validate_inputs(
             });
         }
     }
-    if let Some(d) = durability {
+    if let Some(d) = s.durability {
         let stray = d
             .corruption
             .out_of_range(cluster.node_count() as u32, max_disks);
@@ -1905,133 +1849,20 @@ fn validate_inputs(
     Ok(())
 }
 
-/// The full adversarial composition for [`try_run_cluster_chaos`]: disk
-/// faults plus any subset of network resilience, durability, and the
-/// `eevfs-power` policy plane, all active in one run.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ChaosSetup<'a> {
-    /// Network faults + RPC policy; `None` for a perfect network.
-    pub resilience: Option<ResilienceSetup<'a>>,
-    /// Corruption/crash schedules + scrubbing; `None` disables the
-    /// durability layer.
-    pub durability: Option<DurabilitySetup<'a>>,
-    /// Power policy plane; `None` keeps the paper's static idle threshold.
-    pub power: Option<&'a eevfs_power::PowerPolicy>,
-}
-
-/// Runs the full composite: every fault dimension the driver knows about,
-/// enabled at once. This is the chaos-search entry point — unlike the
-/// single-dimension wrappers above it accepts machine-generated plans, so
-/// it validates them and returns a [`DriverError`] instead of panicking.
-/// Determinism is unchanged: the run is a pure function of
-/// `(cluster, cfg, trace, faults, setup)` and replays bit-identically.
-pub fn try_run_cluster_chaos(
-    cluster: &ClusterSpec,
-    cfg: &EevfsConfig,
-    trace: &Trace,
-    faults: &FaultPlan,
-    setup: ChaosSetup<'_>,
-) -> Result<RunMetrics, DriverError> {
-    validate_inputs(
-        cluster,
-        trace,
-        faults,
-        setup.resilience.as_ref(),
-        setup.durability.as_ref(),
-    )?;
-    Ok(run_validated(
-        cluster,
-        cfg,
-        trace,
-        false,
-        faults,
-        setup.resilience,
-        setup.durability,
-        None,
-        setup.power,
-    )
-    .0)
-}
-
-/// [`try_run_cluster_chaos`] with the structured trace streamed into
-/// `recorder` — the audit plane's entry point for replaying a chaos
-/// scenario with energy attribution enabled. Observation is passive: the
-/// returned metrics are bit-identical to the unobserved run's.
-pub fn try_run_cluster_chaos_observed(
-    cluster: &ClusterSpec,
-    cfg: &EevfsConfig,
-    trace: &Trace,
-    faults: &FaultPlan,
-    setup: ChaosSetup<'_>,
-    recorder: Recorder,
-) -> Result<(RunMetrics, ObsReport), DriverError> {
-    validate_inputs(
-        cluster,
-        trace,
-        faults,
-        setup.resilience.as_ref(),
-        setup.durability.as_ref(),
-    )?;
-    let (metrics, _, report) = run_validated(
-        cluster,
-        cfg,
-        trace,
-        false,
-        faults,
-        setup.resilience,
-        setup.durability,
-        Some(recorder),
-        setup.power,
-    );
-    Ok((metrics, report.expect("recorder was supplied")))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_cluster_inner(
-    cluster: &ClusterSpec,
-    cfg: &EevfsConfig,
-    trace: &Trace,
-    record_curve: bool,
-    faults: &FaultPlan,
-    resilience: Option<ResilienceSetup<'_>>,
-    durability: Option<DurabilitySetup<'_>>,
+/// The simulation proper; inputs are assumed validated.
+fn run_validated(
+    scenario: &Scenario<'_>,
     obs: Option<Recorder>,
-    power_plane: Option<&eevfs_power::PowerPolicy>,
-) -> (RunMetrics, Option<sim_core::TimeSeries>, Option<ObsReport>) {
-    validate_inputs(
-        cluster,
-        trace,
-        faults,
-        resilience.as_ref(),
-        durability.as_ref(),
-    )
-    .unwrap_or_else(|e| panic!("{e}"));
-    run_validated(
+) -> (RunMetrics, Option<ObsReport>) {
+    let &Scenario {
         cluster,
         cfg,
         trace,
-        record_curve,
         faults,
         resilience,
         durability,
-        obs,
-        power_plane,
-    )
-}
-
-/// The simulation proper; inputs are assumed validated.
-#[allow(clippy::too_many_arguments)]
-fn run_validated(
-    cluster: &ClusterSpec,
-    cfg: &EevfsConfig,
-    trace: &Trace,
-    record_curve: bool,
-    faults: &FaultPlan,
-    resilience: Option<ResilienceSetup<'_>>,
-    durability: Option<DurabilitySetup<'_>>,
-    obs: Option<Recorder>,
-    power_plane: Option<&eevfs_power::PowerPolicy>,
-) -> (RunMetrics, Option<sim_core::TimeSeries>, Option<ObsReport>) {
+        power: power_plane,
+    } = scenario;
     // Steps 1-2: popularity and placement.
     let popularity = PopularityTable::from_trace(trace);
     let placement = place(cfg.placement, &popularity, &cluster.data_disk_counts());
@@ -2091,8 +1922,9 @@ fn run_validated(
         })
         .collect();
     // Observation needs the cumulative-energy traces (for the power-draw
-    // series) and the per-edge state logs (for `DiskTransition` events).
-    if record_curve || obs.is_some() {
+    // series and the energy curve) and the per-edge state logs (for
+    // `DiskTransition` events).
+    if obs.is_some() {
         for n in &mut nodes {
             n.buffer_disk.enable_trace();
             for d in &mut n.data_disks {
@@ -2746,14 +2578,9 @@ fn run_validated(
             }
         }
     }
-    let report = sim.obs.take().map(|o| ObsReport {
-        recorder: o.rec,
-        registry: o.registry,
-        samples: sim.pred.samples().to_vec(),
-    });
-
-    let curve = if record_curve {
-        let mut ts = sim_core::TimeSeries::new();
+    let report = sim.obs.take().map(|o| {
+        // The whole-cluster cumulative-energy curve.
+        let mut energy_curve = sim_core::TimeSeries::new();
         let base_w: f64 = cluster.nodes.iter().map(|n| n.base_power_w).sum::<f64>()
             + cluster.server_base_power_w
             + cluster.server_disk.p_idle_w;
@@ -2770,12 +2597,15 @@ fn run_validated(
                     joules += s.meter().trace().interpolate(t).unwrap_or(0.0);
                 }
             }
-            ts.push(t, joules);
+            energy_curve.push(t, joules);
         }
-        Some(ts)
-    } else {
-        None
-    };
+        ObsReport {
+            recorder: o.rec,
+            registry: o.registry,
+            samples: sim.pred.samples().to_vec(),
+            energy_curve,
+        }
+    });
 
     let metrics = RunMetrics {
         duration_s,
@@ -2814,7 +2644,7 @@ fn run_validated(
         overload,
         per_node,
     };
-    (metrics, curve, report)
+    (metrics, report)
 }
 
 #[cfg(test)]
@@ -2830,6 +2660,17 @@ mod tests {
             requests,
             ..SyntheticSpec::paper_default()
         })
+    }
+
+    /// An unobserved run of a scenario the test knows is valid.
+    fn run(scenario: &Scenario<'_>) -> RunMetrics {
+        simulate(scenario, None).unwrap().0
+    }
+
+    /// An observed run of a scenario the test knows is valid.
+    fn observe(scenario: &Scenario<'_>) -> (RunMetrics, ObsReport) {
+        let (metrics, report) = simulate(scenario, Some(Recorder::default())).unwrap();
+        (metrics, report.unwrap())
     }
 
     #[test]
@@ -3113,7 +2954,10 @@ mod tests {
     fn traced_run_curve_matches_metrics() {
         let trace = small_trace(100.0, 150);
         let cluster = ClusterSpec::paper_testbed();
-        let (m, curve) = super::run_cluster_traced(&cluster, &EevfsConfig::paper_pf(70), &trace);
+        let cfg = EevfsConfig::paper_pf(70);
+        let scenario = Scenario::new(&cluster, &cfg, &trace);
+        let (m, report) = observe(&scenario);
+        let curve = report.energy_curve;
         // The curve covers the whole run and ends at the run's total
         // energy including the warm-up share.
         let (t_end, e_end) = curve.last().expect("non-empty curve");
@@ -3126,9 +2970,8 @@ mod tests {
         // Monotone non-decreasing cumulative energy.
         let vals: Vec<f64> = curve.iter().map(|(_, v)| v).collect();
         assert!(vals.windows(2).all(|w| w[1] >= w[0] - 1e-9));
-        // Identical metrics to the untraced run.
-        let plain = run_cluster(&cluster, &EevfsConfig::paper_pf(70), &trace);
-        assert_eq!(m, plain);
+        // Identical metrics to the unobserved run.
+        assert_eq!(m, run(&scenario));
     }
 
     #[test]
@@ -3155,7 +2998,10 @@ mod tests {
         let mid = trace.records[trace.len() / 2].at;
         let faults = FaultPlan::builder().node_crash(mid, 0).build();
         let cfg = EevfsConfig::paper_pf_replicated(70, 2);
-        let m = run_cluster_faulted(&cluster, &cfg, &trace, &faults);
+        let m = run(&Scenario {
+            faults: &faults,
+            ..Scenario::new(&cluster, &cfg, &trace)
+        });
         assert_eq!(m.response.count, 300);
         assert_eq!(m.failed_requests, 0, "replicas must absorb the crash");
         assert_eq!(m.fault_events, 1);
@@ -3172,7 +3018,10 @@ mod tests {
         let mid = trace.records[trace.len() / 2].at;
         let faults = FaultPlan::builder().disk_fail(mid, 1, 0).build();
         let cfg = EevfsConfig::paper_pf_replicated(70, 2);
-        let m = run_cluster_faulted(&cluster, &cfg, &trace, &faults);
+        let m = run(&Scenario {
+            faults: &faults,
+            ..Scenario::new(&cluster, &cfg, &trace)
+        });
         assert_eq!(m.response.count, 300);
         assert_eq!(m.failed_requests, 0);
     }
@@ -3188,7 +3037,10 @@ mod tests {
             .node_crash(mid, 2)
             .node_restart(mid + SimDuration::from_secs(10), 2)
             .build();
-        let m = run_cluster_faulted(&cluster, &EevfsConfig::paper_pf(70), &trace, &faults);
+        let m = run(&Scenario {
+            faults: &faults,
+            ..Scenario::new(&cluster, &EevfsConfig::paper_pf(70), &trace)
+        });
         assert_eq!(m.response.count, 200);
         assert_eq!(m.failed_requests, 0);
         assert_eq!(m.fault_events, 2);
@@ -3202,7 +3054,10 @@ mod tests {
         let trace = small_trace(1000.0, 100);
         let cluster = ClusterSpec::paper_testbed();
         let faults = FaultPlan::builder().node_crash(SimTime::ZERO, 0).build();
-        let m = run_cluster_faulted(&cluster, &EevfsConfig::paper_npf(), &trace, &faults);
+        let m = run(&Scenario {
+            faults: &faults,
+            ..Scenario::new(&cluster, &EevfsConfig::paper_npf(), &trace)
+        });
         assert_eq!(m.response.count, 100);
         assert!(m.failed_requests > 0, "node 0's files are unreachable");
         assert!(m.failed_requests < 100, "other nodes still serve");
@@ -3224,8 +3079,12 @@ mod tests {
             spin_up_fail_per_hour: 12.0,
         });
         let cfg = EevfsConfig::paper_pf_replicated(70, 2);
-        let a = run_cluster_faulted(&cluster, &cfg, &trace, &faults);
-        let b = run_cluster_faulted(&cluster, &cfg, &trace, &faults);
+        let scenario = Scenario {
+            faults: &faults,
+            ..Scenario::new(&cluster, &cfg, &trace)
+        };
+        let a = run(&scenario);
+        let b = run(&scenario);
         assert_eq!(
             a, b,
             "same (config, trace, fault plan) must replay bit-identically"
@@ -3245,19 +3104,105 @@ mod tests {
                 b = b.spin_up_fail(SimTime::from_secs(1), node, disk);
             }
         }
-        let m = run_cluster_faulted(&cluster, &EevfsConfig::paper_pf(70), &trace, &b.build());
+        let faults = b.build();
+        let m = run(&Scenario {
+            faults: &faults,
+            ..Scenario::new(&cluster, &EevfsConfig::paper_pf(70), &trace)
+        });
         assert_eq!(m.response.count, 300);
         assert_eq!(m.failed_requests, 0, "poisoning is transient");
         assert!(m.spin_up_failures > 0, "some wake attempt must fail");
     }
 
     #[test]
-    #[should_panic(expected = "outside the cluster")]
-    fn out_of_range_fault_plan_is_rejected() {
+    fn invalid_inputs_are_typed_errors() {
         let trace = small_trace(100.0, 10);
         let cluster = ClusterSpec::paper_testbed();
+        let cfg = EevfsConfig::paper_npf();
+        let ok = Scenario::new(&cluster, &cfg, &trace);
+        let empty = ClusterSpec {
+            nodes: Vec::new(),
+            ..ClusterSpec::paper_testbed()
+        };
+        let mut unsorted = trace.clone();
+        unsorted.records.swap(0, 1);
         let faults = FaultPlan::builder().node_crash(SimTime::ZERO, 99).build();
-        let _ = run_cluster_faulted(&cluster, &EevfsConfig::paper_npf(), &trace, &faults);
+        let net_plan = NetFaultPlan::partition_window(99, SimTime::ZERO, SimTime::from_secs(1));
+        let (profile, policy) = (LinkFaultProfile::none(), sim_policy());
+        let corruption = CorruptionPlan::builder()
+            .lse(SimTime::ZERO, 99, 0, 0)
+            .build();
+        let crashes = CrashPlan::one(99, SimTime::ZERO, SimTime::from_secs(1));
+        let (no_corruption, no_crashes) = no_durability();
+        let durable = |corruption, crashes| DurabilitySetup {
+            corruption,
+            crashes,
+            scrub: ScrubPolicy::Off,
+            blocks_per_disk: 64,
+        };
+        let stray = |plan, detail: String| DriverError::PlanOutOfRange { plan, detail };
+        let cases = [
+            (
+                Scenario {
+                    cluster: &empty,
+                    ..ok
+                },
+                DriverError::BadCluster("cluster has no storage nodes".into()),
+            ),
+            (
+                Scenario {
+                    trace: &unsorted,
+                    ..ok
+                },
+                DriverError::BadTrace(unsorted.validate().unwrap_err()),
+            ),
+            (
+                Scenario {
+                    faults: &faults,
+                    ..ok
+                },
+                stray("fault", format!("{:?}", faults.events())),
+            ),
+            (
+                Scenario {
+                    resilience: Some(ResilienceSetup {
+                        net_plan: &net_plan,
+                        profile: &profile,
+                        policy: &policy,
+                    }),
+                    ..ok
+                },
+                stray("net", format!("{:?}", net_plan.events())),
+            ),
+            (
+                Scenario {
+                    durability: Some(durable(&corruption, &no_crashes)),
+                    ..ok
+                },
+                stray("corruption", format!("{:?}", corruption.events())),
+            ),
+            (
+                Scenario {
+                    durability: Some(durable(&no_corruption, &crashes)),
+                    ..ok
+                },
+                stray("crash", format!("{:?}", crashes.events())),
+            ),
+        ];
+        for (scenario, expected) in cases {
+            assert_eq!(simulate(&scenario, None).err(), Some(expected));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "bad cluster")]
+    fn run_cluster_panics_on_invalid_input() {
+        let trace = small_trace(100.0, 10);
+        let empty = ClusterSpec {
+            nodes: Vec::new(),
+            ..ClusterSpec::paper_testbed()
+        };
+        let _ = run_cluster(&empty, &EevfsConfig::paper_npf(), &trace);
     }
 
     fn sim_policy() -> RpcPolicy {
@@ -3275,18 +3220,15 @@ mod tests {
         let trace = small_trace(1000.0, 200);
         let cluster = ClusterSpec::paper_testbed();
         let cfg = EevfsConfig::paper_pf_replicated(70, 2);
-        let plain = run_cluster_faulted(&cluster, &cfg, &trace, &FaultPlan::none());
-        let resilient = run_cluster_resilient(
-            &cluster,
-            &cfg,
-            &trace,
-            &FaultPlan::none(),
-            ResilienceSetup {
+        let plain = run(&Scenario::new(&cluster, &cfg, &trace));
+        let resilient = run(&Scenario {
+            resilience: Some(ResilienceSetup {
                 net_plan: &NetFaultPlan::none(),
                 profile: &LinkFaultProfile::none(),
                 policy: &sim_policy(),
-            },
-        );
+            }),
+            ..Scenario::new(&cluster, &cfg, &trace)
+        });
         assert_eq!(resilient.resilience, ResilienceStats::default());
         let mut stripped = resilient.clone();
         stripped.resilience = plain.resilience;
@@ -3318,8 +3260,12 @@ mod tests {
             profile: &profile,
             policy: &policy,
         };
-        let a = run_cluster_resilient(&cluster, &cfg, &trace, &FaultPlan::none(), setup);
-        let b = run_cluster_resilient(&cluster, &cfg, &trace, &FaultPlan::none(), setup);
+        let scenario = Scenario {
+            resilience: Some(setup),
+            ..Scenario::new(&cluster, &cfg, &trace)
+        };
+        let a = run(&scenario);
+        let b = run(&scenario);
         assert_eq!(a, b, "resilient replays must be bit-identical");
         assert_eq!(a.response.count, 300);
         assert!(a.resilience.rpc_drops > 0, "{:?}", a.resilience);
@@ -3344,17 +3290,14 @@ mod tests {
             },
             ..sim_policy()
         };
-        let m = run_cluster_resilient(
-            &cluster,
-            &cfg,
-            &trace,
-            &FaultPlan::none(),
-            ResilienceSetup {
+        let m = run(&Scenario {
+            resilience: Some(ResilienceSetup {
                 net_plan: &net_plan,
                 profile: &LinkFaultProfile::none(),
                 policy: &policy,
-            },
-        );
+            }),
+            ..Scenario::new(&cluster, &cfg, &trace)
+        });
         assert_eq!(m.response.count, 300);
         assert_eq!(m.failed_requests, 0, "replicas must absorb the partition");
         assert_eq!(m.resilience.net_fault_events, 2);
@@ -3390,17 +3333,14 @@ mod tests {
             ..base.clone()
         };
         let run = |policy: &RpcPolicy| {
-            run_cluster_resilient(
-                &cluster,
-                &cfg,
-                &trace,
-                &FaultPlan::none(),
-                ResilienceSetup {
+            run(&Scenario {
+                resilience: Some(ResilienceSetup {
                     net_plan: &NetFaultPlan::none(),
                     profile: &profile,
                     policy,
-                },
-            )
+                }),
+                ..Scenario::new(&cluster, &cfg, &trace)
+            })
         };
         let without = run(&base);
         let with = run(&hedged);
@@ -3447,20 +3387,17 @@ mod tests {
         let trace = small_trace(1000.0, 200);
         let cluster = ClusterSpec::paper_testbed();
         let cfg = EevfsConfig::paper_pf_replicated(70, 2);
-        let plain = run_cluster_faulted(&cluster, &cfg, &trace, &FaultPlan::none());
+        let plain = run(&Scenario::new(&cluster, &cfg, &trace));
         let (corruption, crashes) = no_durability();
-        let durable = run_cluster_durable(
-            &cluster,
-            &cfg,
-            &trace,
-            &FaultPlan::none(),
-            DurabilitySetup {
+        let durable = run(&Scenario {
+            durability: Some(DurabilitySetup {
                 corruption: &corruption,
                 crashes: &crashes,
                 scrub: ScrubPolicy::Off,
                 blocks_per_disk: 64,
-            },
-        );
+            }),
+            ..Scenario::new(&cluster, &cfg, &trace)
+        });
         assert_eq!(durable.scrub_energy_j, 0.0);
         assert!(
             durable.durability.journal_records > 0,
@@ -3487,8 +3424,12 @@ mod tests {
             scrub: ScrubPolicy::piggyback_default(),
             blocks_per_disk: 64,
         };
-        let a = run_cluster_durable(&cluster, &cfg, &trace, &FaultPlan::none(), setup);
-        let b = run_cluster_durable(&cluster, &cfg, &trace, &FaultPlan::none(), setup);
+        let scenario = Scenario {
+            durability: Some(setup),
+            ..Scenario::new(&cluster, &cfg, &trace)
+        };
+        let a = run(&scenario);
+        let b = run(&scenario);
         assert_eq!(a, b, "durable replays must be bit-identical");
         assert_eq!(a.response.count, 300);
         assert!(a.durability.corruptions_landed > 0);
@@ -3521,18 +3462,15 @@ mod tests {
         let cluster = ClusterSpec::paper_testbed();
         let corruption = blanket_corruption(SimTime::from_secs(1), 64);
         let crashes = CrashPlan::none();
-        let m = run_cluster_durable(
-            &cluster,
-            &EevfsConfig::paper_pf(70),
-            &trace,
-            &FaultPlan::none(),
-            DurabilitySetup {
+        let m = run(&Scenario {
+            durability: Some(DurabilitySetup {
                 corruption: &corruption,
                 crashes: &crashes,
                 scrub: ScrubPolicy::piggyback_default(),
                 blocks_per_disk: 64,
-            },
-        );
+            }),
+            ..Scenario::new(&cluster, &EevfsConfig::paper_pf(70), &trace)
+        });
         assert!(
             m.durability.unrecoverable_blocks > 0,
             "R=1 has no repair source: {:?}",
@@ -3548,18 +3486,15 @@ mod tests {
         let cfg = EevfsConfig::paper_pf_replicated(70, 2);
         let corruption = blanket_corruption(SimTime::from_secs(1), 64);
         let crashes = CrashPlan::none();
-        let m = run_cluster_durable(
-            &cluster,
-            &cfg,
-            &trace,
-            &FaultPlan::none(),
-            DurabilitySetup {
+        let m = run(&Scenario {
+            durability: Some(DurabilitySetup {
                 corruption: &corruption,
                 crashes: &crashes,
                 scrub: ScrubPolicy::Off,
                 blocks_per_disk: 64,
-            },
-        );
+            }),
+            ..Scenario::new(&cluster, &cfg, &trace)
+        });
         assert_eq!(m.durability.scrub_passes, 0);
         assert_eq!(m.durability.detected_by_scrub, 0);
         assert!(m.durability.detected_on_read > 0);
@@ -3576,18 +3511,15 @@ mod tests {
         let mid = trace.records[trace.len() / 2].at;
         let corruption = CorruptionPlan::none();
         let crashes = CrashPlan::one(2, mid, mid + SimDuration::from_secs(10));
-        let m = run_cluster_durable(
-            &cluster,
-            &EevfsConfig::paper_pf(70),
-            &trace,
-            &FaultPlan::none(),
-            DurabilitySetup {
+        let m = run(&Scenario {
+            durability: Some(DurabilitySetup {
                 corruption: &corruption,
                 crashes: &crashes,
                 scrub: ScrubPolicy::Off,
                 blocks_per_disk: 64,
-            },
-        );
+            }),
+            ..Scenario::new(&cluster, &EevfsConfig::paper_pf(70), &trace)
+        });
         assert_eq!(m.response.count, 200);
         assert_eq!(m.failed_requests, 0, "restart lands inside retry budget");
         assert_eq!(m.fault_events, 2, "crash + restart both fire");
@@ -3609,18 +3541,12 @@ mod tests {
             scrub: ScrubPolicy::piggyback_default(),
             blocks_per_disk: 64,
         };
-        let observed = || {
-            run_cluster_durable_observed(
-                &cluster,
-                &cfg,
-                &trace,
-                &FaultPlan::none(),
-                setup,
-                Recorder::default(),
-            )
+        let scenario = Scenario {
+            durability: Some(setup),
+            ..Scenario::new(&cluster, &cfg, &trace)
         };
-        let (m1, r1) = observed();
-        let (m2, r2) = observed();
+        let (m1, r1) = observe(&scenario);
+        let (m2, r2) = observe(&scenario);
         assert_eq!(m1, m2);
         assert_eq!(
             r1.recorder.to_jsonl(),
@@ -3633,8 +3559,7 @@ mod tests {
         assert!(has(&|k| matches!(k, EventKind::JournalReplay { .. })));
         assert!(has(&|k| matches!(k, EventKind::NodeRestart { .. })));
         // Observation stays passive.
-        let plain = run_cluster_durable(&cluster, &cfg, &trace, &FaultPlan::none(), setup);
-        assert_eq!(m1, plain);
+        assert_eq!(m1, run(&scenario));
     }
 
     #[test]
@@ -3656,18 +3581,9 @@ mod tests {
         let cluster = ClusterSpec::paper_testbed();
         let cfg = EevfsConfig::paper_pf(70);
         let plain = run_cluster(&cluster, &cfg, &trace);
-        let observed = || {
-            run_cluster_observed(
-                &cluster,
-                &cfg,
-                &trace,
-                &FaultPlan::none(),
-                None,
-                Recorder::default(),
-            )
-        };
-        let (m1, r1) = observed();
-        let (m2, r2) = observed();
+        let scenario = Scenario::new(&cluster, &cfg, &trace);
+        let (m1, r1) = observe(&scenario);
+        let (m2, r2) = observe(&scenario);
         assert_eq!(plain, m1, "observation must not perturb the simulation");
         let jsonl = r1.recorder.to_jsonl();
         assert_eq!(
@@ -3687,14 +3603,8 @@ mod tests {
     fn one_request_is_followable_arrive_to_complete() {
         let trace = small_trace(1000.0, 150);
         let cluster = ClusterSpec::paper_testbed();
-        let (_, report) = run_cluster_observed(
-            &cluster,
-            &EevfsConfig::paper_pf(70),
-            &trace,
-            &FaultPlan::none(),
-            None,
-            Recorder::default(),
-        );
+        let cfg = EevfsConfig::paper_pf(70);
+        let (_, report) = observe(&Scenario::new(&cluster, &cfg, &trace));
         let hist = report.recorder.request_history(0);
         assert!(
             hist.iter()

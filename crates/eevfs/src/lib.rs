@@ -43,6 +43,10 @@
 //! let npf = run_cluster(&cluster, &EevfsConfig::paper_npf(), &trace);
 //! assert!(pf.total_energy_j <= npf.total_energy_j * 1.001);
 //! ```
+//!
+//! [`run_cluster`] is the healthy-cluster shorthand. Every other run —
+//! faults, network resilience, durability, the `eevfs-power` policy
+//! plane, observation — goes through [`simulate`] with a [`Scenario`].
 
 #![warn(missing_docs)]
 
@@ -62,8 +66,5 @@ pub mod scrub;
 pub mod server;
 
 pub use config::{ClusterSpec, EevfsConfig, NodeSpec};
-pub use driver::{
-    run_cluster, run_cluster_powered, run_cluster_powered_observed, try_run_cluster_chaos,
-    ChaosSetup, DriverError,
-};
+pub use driver::{run_cluster, simulate, DriverError, Scenario};
 pub use metrics::RunMetrics;

@@ -117,8 +117,8 @@ pub struct FaultPlan {
 
 impl FaultPlan {
     /// The empty plan (healthy cluster).
-    pub fn none() -> FaultPlan {
-        FaultPlan::default()
+    pub const fn none() -> FaultPlan {
+        FaultPlan { events: Vec::new() }
     }
 
     /// Builds a plan from explicit events, e.g. replayed from an outage

@@ -10,6 +10,7 @@
 use eevfs_bench::ablate::all_ablations;
 use eevfs_bench::figures::{fig3_view, fig4_view, fig5_view, Panel};
 use eevfs_bench::report::{render_ablation, render_figure, render_sweep};
+use eevfs_bench::runner::Runner;
 use eevfs_bench::sweeps::SweepParams;
 
 fn main() {
@@ -20,7 +21,7 @@ fn main() {
     };
 
     if which == "ablate" {
-        for a in all_ablations(&params) {
+        for a in all_ablations(&Runner::serial(), &params) {
             println!("{}", render_ablation(&a));
         }
         return;
@@ -37,7 +38,7 @@ fn main() {
         }
     };
 
-    let pts = panel.run(&params);
+    let pts = panel.run(&Runner::serial(), &params);
     println!(
         "{}",
         render_sweep(&format!("sweep over {}", panel.xlabel()), &pts)

@@ -28,8 +28,8 @@ fn sweep_panels_are_byte_identical_across_job_counts() {
     let serial = Runner::serial();
     let parallel = Runner::new(8);
     for panel in Panel::ALL {
-        let a = panel.run_on(&serial, &p);
-        let b = panel.run_on(&parallel, &p);
+        let a = panel.run(&serial, &p);
+        let b = panel.run(&parallel, &p);
         assert_eq!(a.len(), b.len(), "{panel:?}");
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.label, y.label, "{panel:?}");
@@ -45,16 +45,14 @@ type AblationGrid =
 
 #[test]
 fn ablation_grids_are_byte_identical_across_job_counts() {
-    use eevfs_bench::ablate::{
-        try_ablate_faults_on, try_ablate_resilience_on, try_ablate_scrub_on,
-    };
+    use eevfs_bench::ablate::{ablate_faults, ablate_resilience, ablate_scrub};
     let p = quick();
     let serial = Runner::serial();
     let parallel = Runner::new(8);
     let grids: [(&str, AblationGrid); 3] = [
-        ("faults", try_ablate_faults_on),
-        ("resilience", try_ablate_resilience_on),
-        ("scrub", try_ablate_scrub_on),
+        ("faults", ablate_faults),
+        ("resilience", ablate_resilience),
+        ("scrub", ablate_scrub),
     ];
     for (name, grid) in grids {
         let a = grid(&serial, &p).expect("serial grid");

@@ -82,7 +82,7 @@ proptest! {
     /// config replay bit-identically for the same (config, seed, plan).
     #[test]
     fn faulted_replay_determinism(spec in arb_spec(), fault_seed in any::<u64>()) {
-        use eevfs::driver::run_cluster_faulted;
+        use eevfs::driver::{simulate, Scenario};
         use fault_model::{FaultPlan, FaultSpec};
         let trace = generate(&spec);
         let cluster = ClusterSpec::paper_testbed();
@@ -98,8 +98,9 @@ proptest! {
             spin_up_fail_per_hour: 20.0,
         });
         let cfg = EevfsConfig::paper_pf_replicated(20, 2);
-        let a = run_cluster_faulted(&cluster, &cfg, &trace, &faults);
-        let b = run_cluster_faulted(&cluster, &cfg, &trace, &faults);
+        let scenario = Scenario { faults: &faults, ..Scenario::new(&cluster, &cfg, &trace) };
+        let a = simulate(&scenario, None).expect("valid scenario").0;
+        let b = simulate(&scenario, None).expect("valid scenario").0;
         prop_assert_eq!(a, b);
     }
 }

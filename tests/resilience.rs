@@ -10,8 +10,8 @@
 
 use eevfs::config::ClusterSpec;
 use eevfs::config::EevfsConfig;
-use eevfs::driver::{run_cluster_resilient, ResilienceSetup};
-use fault_model::FaultPlan;
+use eevfs::driver::{simulate, ResilienceSetup, Scenario};
+use eevfs::metrics::RunMetrics;
 use fault_model::{LinkFaultProfile, NetFaultPlan, NetFaultSpec, RpcPolicy};
 use sim_core::SimDuration;
 use workload::synthetic::{generate, SyntheticSpec};
@@ -23,6 +23,10 @@ fn trace(requests: u32) -> workload::record::Trace {
         mean_size_bytes: 1_000_000,
         ..SyntheticSpec::paper_default()
     })
+}
+
+fn run(scenario: &Scenario<'_>) -> RunMetrics {
+    simulate(scenario, None).expect("valid scenario").0
 }
 
 #[test]
@@ -52,8 +56,12 @@ fn seeded_fault_replay_is_bit_identical() {
         profile: &profile,
         policy: &policy,
     };
-    let a = run_cluster_resilient(&cluster, &cfg, &trace, &FaultPlan::none(), setup);
-    let b = run_cluster_resilient(&cluster, &cfg, &trace, &FaultPlan::none(), setup);
+    let scenario = Scenario {
+        resilience: Some(setup),
+        ..Scenario::new(&cluster, &cfg, &trace)
+    };
+    let a = run(&scenario);
+    let b = run(&scenario);
     assert_eq!(a, b, "seeded fault replay must be bit-identical");
     // The run must actually have exercised the machinery it claims to
     // reproduce — an accidentally-perfect network would make the
@@ -70,7 +78,6 @@ fn observed_fault_replay_emits_bit_identical_jsonl() {
     // recording a trace must not perturb the run, and the exported JSONL
     // must be byte-identical across same-seed replays — including under
     // injected faults, where RPC retry/hedge events join the stream.
-    use eevfs::driver::run_cluster_observed;
     use eevfs_obs::{EventKind, Recorder};
     let trace = trace(300);
     let cluster = ClusterSpec::paper_testbed();
@@ -82,22 +89,21 @@ fn observed_fault_replay_emits_bit_identical_jsonl() {
         ..RpcPolicy::retrying(SimDuration::from_secs(60), SimDuration::from_secs(3), 4)
     };
     let net_plan = NetFaultPlan::none();
-    let run = || {
-        run_cluster_observed(
-            &cluster,
-            &cfg,
-            &trace,
-            &FaultPlan::none(),
-            Some(ResilienceSetup {
-                net_plan: &net_plan,
-                profile: &profile,
-                policy: &policy,
-            }),
-            Recorder::default(),
-        )
+    let scenario = Scenario {
+        resilience: Some(ResilienceSetup {
+            net_plan: &net_plan,
+            profile: &profile,
+            policy: &policy,
+        }),
+        ..Scenario::new(&cluster, &cfg, &trace)
     };
-    let (ma, ra) = run();
-    let (mb, rb) = run();
+    let observe = || {
+        let (metrics, report) =
+            simulate(&scenario, Some(Recorder::default())).expect("valid scenario");
+        (metrics, report.expect("a recorder was supplied"))
+    };
+    let (ma, ra) = observe();
+    let (mb, rb) = observe();
     assert_eq!(ma, mb, "observed metrics must replay bit-identically");
     assert_eq!(
         ra.recorder.to_jsonl(),
@@ -106,17 +112,7 @@ fn observed_fault_replay_emits_bit_identical_jsonl() {
     );
     // Observation must be passive: the observed metrics equal the plain
     // resilient run's.
-    let plain = run_cluster_resilient(
-        &cluster,
-        &cfg,
-        &trace,
-        &FaultPlan::none(),
-        ResilienceSetup {
-            net_plan: &net_plan,
-            profile: &profile,
-            policy: &policy,
-        },
-    );
+    let plain = run(&scenario);
     assert_eq!(ma, plain, "recording a trace must not perturb the run");
     // The faults actually left marks in the trace stream.
     assert!(ma.resilience.rpc_retries > 0, "{:?}", ma.resilience);
@@ -151,21 +147,18 @@ fn plan_seed_actually_steers_the_faults() {
         seed: 17,
         ..RpcPolicy::retrying(SimDuration::from_secs(60), SimDuration::from_secs(3), 4)
     };
-    let run = |profile_seed: u64| {
-        run_cluster_resilient(
-            &cluster,
-            &cfg,
-            &trace,
-            &FaultPlan::none(),
-            ResilienceSetup {
+    let run_seeded = |profile_seed: u64| {
+        run(&Scenario {
+            resilience: Some(ResilienceSetup {
                 net_plan: &NetFaultPlan::none(),
                 profile: &LinkFaultProfile::lossy(profile_seed, 0.15),
                 policy: &policy,
-            },
-        )
+            }),
+            ..Scenario::new(&cluster, &cfg, &trace)
+        })
     };
-    let a = run(1);
-    let b = run(2);
+    let a = run_seeded(1);
+    let b = run_seeded(2);
     assert_ne!(
         (a.resilience.rpc_drops, a.resilience.rpc_retries),
         (b.resilience.rpc_drops, b.resilience.rpc_retries),
@@ -182,22 +175,19 @@ fn retry_policy_buys_availability_under_loss() {
     let cluster = ClusterSpec::paper_testbed();
     let cfg = EevfsConfig::paper_pf_replicated(70, 2);
     let profile = LinkFaultProfile::lossy(5, 0.25);
-    let run = |policy: &RpcPolicy| {
-        run_cluster_resilient(
-            &cluster,
-            &cfg,
-            &trace,
-            &FaultPlan::none(),
-            ResilienceSetup {
+    let run_under = |policy: &RpcPolicy| {
+        run(&Scenario {
+            resilience: Some(ResilienceSetup {
                 net_plan: &NetFaultPlan::none(),
                 profile: &profile,
                 policy,
-            },
-        )
+            }),
+            ..Scenario::new(&cluster, &cfg, &trace)
+        })
     };
     let deadline = SimDuration::from_secs(60);
-    let fail_fast = run(&RpcPolicy::no_retry(deadline));
-    let retrying = run(&RpcPolicy::retrying(deadline, SimDuration::from_secs(3), 4));
+    let fail_fast = run_under(&RpcPolicy::no_retry(deadline));
+    let retrying = run_under(&RpcPolicy::retrying(deadline, SimDuration::from_secs(3), 4));
     assert!(
         retrying.failed_requests < fail_fast.failed_requests,
         "retries must recover dropped flights: retry {} vs fail-fast {}",
@@ -213,7 +203,7 @@ fn crash_during_prefetch_replay_is_bit_identical() {
     // warm-up's disk tail is still rolling, two same-seed runs must
     // reproduce every statistic bit-identically — journal replays,
     // detection and repair counters, scrub energy, all of it.
-    use eevfs::driver::{run_cluster_durable, DurabilitySetup};
+    use eevfs::driver::DurabilitySetup;
     use eevfs::scrub::ScrubPolicy;
     use fault_model::{CorruptionPlan, CorruptionSpec, CrashPlan};
     use sim_core::SimTime;
@@ -237,8 +227,12 @@ fn crash_during_prefetch_replay_is_bit_identical() {
         scrub: ScrubPolicy::piggyback_default(),
         blocks_per_disk: 64,
     };
-    let a = run_cluster_durable(&cluster, &cfg, &trace, &FaultPlan::none(), setup);
-    let b = run_cluster_durable(&cluster, &cfg, &trace, &FaultPlan::none(), setup);
+    let scenario = Scenario {
+        durability: Some(setup),
+        ..Scenario::new(&cluster, &cfg, &trace)
+    };
+    let a = run(&scenario);
+    let b = run(&scenario);
     assert_eq!(a, b, "crash + corruption replay must be bit-identical");
     // The run exercised what it claims to reproduce.
     let d = &a.durability;
