@@ -86,8 +86,9 @@ impl RuntimeConfig {
 /// Result of one `get`.
 #[derive(Debug, Clone)]
 pub struct GetResult {
-    /// File contents.
-    pub data: Vec<u8>,
+    /// File contents: the payload of the node's `FileData` frame, handed
+    /// over without a copy.
+    pub data: bytes::Bytes,
     /// Wall-clock response time.
     pub response: Duration,
 }
@@ -432,7 +433,7 @@ impl ClusterHandle {
                 req_id: got_id,
                 file: got,
                 data,
-            } if got == file && got_id == req_id => data.to_vec(),
+            } if got == file && got_id == req_id => data,
             other => return Err(io::Error::other(format!("unexpected push {other:?}"))),
         };
         let response = start.elapsed();

@@ -459,27 +459,39 @@ impl Message {
         }
     }
 
-    /// Encodes into a self-contained frame.
+    /// Encodes into a self-contained frame. The length prefix, tag, header
+    /// and payload go into one buffer sized up front, so a `FileData`
+    /// payload is copied exactly once.
     pub fn encode(&self) -> Bytes {
-        let mut body = BytesMut::new();
-        body.put_u8(self.tag());
+        // Body bytes after the tag: exact for the variable-length frames,
+        // an upper bound (the 23-byte `Get`/`Put` header) for the rest.
+        let after_tag = match self {
+            Message::FileData { data, .. } => 20 + data.len(),
+            Message::Prefetch { files } => 4 + 4 * files.len(),
+            Message::Hints { pattern } => 4 + 12 * pattern.len(),
+            Message::Stats { .. } => 8 + 8 * StatsCounters::U64_FIELDS,
+            _ => 23,
+        };
+        let mut frame = BytesMut::with_capacity(4 + 1 + after_tag);
+        frame.put_u32_le(0); // length prefix, patched below
+        frame.put_u8(self.tag());
         match self {
             Message::CreateFile { file, size, disk } => {
-                body.put_u32_le(*file);
-                body.put_u64_le(*size);
-                body.put_u32_le(*disk);
+                frame.put_u32_le(*file);
+                frame.put_u64_le(*size);
+                frame.put_u32_le(*disk);
             }
             Message::Prefetch { files } => {
-                body.put_u32_le(files.len() as u32);
+                frame.put_u32_le(files.len() as u32);
                 for f in files {
-                    body.put_u32_le(*f);
+                    frame.put_u32_le(*f);
                 }
             }
             Message::Hints { pattern } => {
-                body.put_u32_le(pattern.len() as u32);
+                frame.put_u32_le(pattern.len() as u32);
                 for (t, f) in pattern {
-                    body.put_u64_le(*t);
-                    body.put_u32_le(*f);
+                    frame.put_u64_le(*t);
+                    frame.put_u32_le(*f);
                 }
             }
             Message::Get {
@@ -496,58 +508,57 @@ impl Message {
                 deadline_us,
                 priority,
             } => {
-                body.put_u64_le(*req_id);
-                body.put_u32_le(*file);
-                body.put_u16_le(*client_port);
-                body.put_u64_le(*deadline_us);
-                body.put_u8(*priority);
+                frame.put_u64_le(*req_id);
+                frame.put_u32_le(*file);
+                frame.put_u16_le(*client_port);
+                frame.put_u64_le(*deadline_us);
+                frame.put_u8(*priority);
             }
             Message::FileData { req_id, file, data } => {
-                body.put_u64_le(*req_id);
-                body.put_u32_le(*file);
-                body.put_u64_le(data.len() as u64);
-                body.extend_from_slice(data);
+                frame.put_u64_le(*req_id);
+                frame.put_u32_le(*file);
+                frame.put_u64_le(data.len() as u64);
+                frame.extend_from_slice(data);
             }
             Message::Ok | Message::StatsRequest | Message::Shutdown => {}
-            Message::KillNode { node } => body.put_u32_le(*node),
+            Message::KillNode { node } => frame.put_u32_le(*node),
             Message::FailDisk { node, disk } | Message::RepairDisk { node, disk } => {
-                body.put_u32_le(*node);
-                body.put_u32_le(*disk);
+                frame.put_u32_le(*node);
+                frame.put_u32_le(*disk);
             }
             Message::ReviveNode { node, port } | Message::Register { node, port } => {
-                body.put_u32_le(*node);
-                body.put_u16_le(*port);
+                frame.put_u32_le(*node);
+                frame.put_u16_le(*port);
             }
-            Message::PartitionLink { node } | Message::HealLink { node } => body.put_u32_le(*node),
-            Message::Err { code } => body.put_u16_le(*code),
+            Message::PartitionLink { node } | Message::HealLink { node } => frame.put_u32_le(*node),
+            Message::Err { code } => frame.put_u16_le(*code),
             Message::Stats { counters: c } => {
-                body.put_f64_le(c.disk_joules);
+                frame.put_f64_le(c.disk_joules);
                 for v in c.as_u64_fields() {
-                    body.put_u64_le(v);
+                    frame.put_u64_le(v);
                 }
             }
             Message::Busy {
                 retry_after_us,
                 level,
             } => {
-                body.put_u64_le(*retry_after_us);
-                body.put_u8(*level);
+                frame.put_u64_le(*retry_after_us);
+                frame.put_u8(*level);
             }
             Message::Shed {
                 req_id,
                 code,
                 level,
             } => {
-                body.put_u64_le(*req_id);
-                body.put_u16_le(*code);
-                body.put_u8(*level);
+                frame.put_u64_le(*req_id);
+                frame.put_u16_le(*code);
+                frame.put_u8(*level);
             }
-            Message::Brownout { level } => body.put_u8(*level),
+            Message::Brownout { level } => frame.put_u8(*level),
         }
-        let mut framed = BytesMut::with_capacity(4 + body.len());
-        framed.put_u32_le(body.len() as u32);
-        framed.extend_from_slice(&body);
-        framed.freeze()
+        let body_len = (frame.len() - 4) as u32;
+        frame[..4].copy_from_slice(&body_len.to_le_bytes());
+        frame.freeze()
     }
 
     /// Decodes one frame body (without the length prefix).
@@ -900,6 +911,154 @@ mod tests {
             None
         );
     }
+
+    /// One fixed instance of every variant, in tag order, each with
+    /// distinct multi-byte field values so any byte-order or layout drift
+    /// shows up.
+    fn golden_messages() -> Vec<Message> {
+        let mut stats = [0u64; StatsCounters::U64_FIELDS];
+        for (i, f) in stats.iter_mut().enumerate() {
+            *f = 0x0101_0101_0101_0101 * (i as u64 + 1);
+        }
+        vec![
+            Message::CreateFile {
+                file: 0x0102_0304,
+                size: 0x1112_1314_1516_1718,
+                disk: 0x2122_2324,
+            },
+            Message::Prefetch {
+                files: vec![0x0A0B_0C0D, 7],
+            },
+            Message::Hints {
+                pattern: vec![(0x1020_3040_5060_7080, 0x0F0E_0D0C)],
+            },
+            Message::Get {
+                req_id: 0xA1A2_A3A4_A5A6_A7A8,
+                file: 0xB1B2_B3B4,
+                client_port: 0xC1C2,
+                deadline_us: 0xD1D2_D3D4_D5D6_D7D8,
+                priority: 0xE1,
+            },
+            Message::FileData {
+                req_id: 0x0807_0605_0403_0201,
+                file: 0x4443_4241,
+                data: Bytes::from_static(b"EEVFS"),
+            },
+            Message::Ok,
+            Message::Err { code: 0x1234 },
+            Message::StatsRequest,
+            Message::Stats {
+                counters: StatsCounters::from_u64_fields(-1234.5, stats),
+            },
+            Message::Shutdown,
+            Message::Put {
+                req_id: 0x5152_5354_5556_5758,
+                file: 0x6162_6364,
+                client_port: 0x7172,
+                deadline_us: 0x8182_8384_8586_8788,
+                priority: 0x91,
+            },
+            Message::KillNode { node: 0x0304_0506 },
+            Message::FailDisk {
+                node: 0x1314_1516,
+                disk: 0x2324_2526,
+            },
+            Message::RepairDisk {
+                node: 0x3334_3536,
+                disk: 0x4344_4546,
+            },
+            Message::ReviveNode {
+                node: 0x5354_5556,
+                port: 0x6364,
+            },
+            Message::PartitionLink { node: 0x7374_7576 },
+            Message::HealLink { node: 0x8384_8586 },
+            Message::Register {
+                node: 0x9394_9596,
+                port: 0xA3A4,
+            },
+            Message::Busy {
+                retry_after_us: 0xB1B2_B3B4_B5B6_B7B8,
+                level: 2,
+            },
+            Message::Shed {
+                req_id: 0xC1C2_C3C4_C5C6_C7C8,
+                code: 0xD1D2,
+                level: 3,
+            },
+            Message::Brownout { level: 1 },
+        ]
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The wire bytes of every variant, pinned to a literal: a change to
+    /// how frames are built must not change a single byte on the wire.
+    #[test]
+    fn golden_frames_are_byte_stable() {
+        let msgs = golden_messages();
+        let tags: Vec<u8> = msgs.iter().map(Message::tag).collect();
+        assert_eq!(tags, (1..=21).collect::<Vec<u8>>(), "one frame per tag");
+        let mut wire = Vec::new();
+        for m in &msgs {
+            wire.extend_from_slice(&m.encode());
+        }
+        assert_eq!(hex(&wire), GOLDEN_WIRE.concat());
+    }
+
+    /// Concatenated frames of [`golden_messages`], taken from the encoder
+    /// that built a separate body and copied it behind the length prefix.
+    const GOLDEN_WIRE: &[&str] = &[
+        // CreateFile
+        "110000000104030201181716151413121124232221",
+        // Prefetch
+        "0d00000002020000000d0c0b0a07000000",
+        // Hints
+        "11000000030100000080706050403020100c0d0e0f",
+        // Get
+        "1800000004a8a7a6a5a4a3a2a1b4b3b2b1c2c1d8d7d6d5d4d3d2d1e1",
+        // FileData
+        "1a0000000501020304050607084142434405000000000000004545564653",
+        // Ok
+        "0100000006",
+        // Err
+        "03000000073412",
+        // StatsRequest
+        "0100000008",
+        // Stats
+        "b90000000900000000004a93c001010101010101010202020202020202030303",
+        "0303030303040404040404040405050505050505050606060606060606070707",
+        "0707070707080808080808080809090909090909090a0a0a0a0a0a0a0a0b0b0b",
+        "0b0b0b0b0b0c0c0c0c0c0c0c0c0d0d0d0d0d0d0d0d0e0e0e0e0e0e0e0e0f0f0f",
+        "0f0f0f0f0f101010101010101011111111111111111212121212121212131313",
+        "1313131313141414141414141415151515151515151616161616161616",
+        // Shutdown
+        "010000000a",
+        // Put
+        "180000000b5857565554535251646362617271888786858483828191",
+        // KillNode
+        "050000000c06050403",
+        // FailDisk
+        "090000000d1615141326252423",
+        // RepairDisk
+        "090000000e3635343346454443",
+        // ReviveNode
+        "070000000f565554536463",
+        // PartitionLink
+        "050000001076757473",
+        // HealLink
+        "050000001186858483",
+        // Register
+        "070000001296959493a4a3",
+        // Busy
+        "0a00000013b8b7b6b5b4b3b2b102",
+        // Shed
+        "0c00000014c8c7c6c5c4c3c2c1d2d103",
+        // Brownout
+        "020000001501",
+    ];
 
     #[test]
     fn stream_roundtrip() {

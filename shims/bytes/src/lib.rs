@@ -2,12 +2,14 @@
 //!
 //! Implements the slice of the upstream API the runtime protocol codec
 //! uses: [`Bytes`] (cheaply cloneable shared buffer with a read cursor via
-//! [`Buf`]), [`BytesMut`] (append-only builder via [`BufMut`]), and the
-//! little-endian `get_*`/`put_*` accessors. Zero-copy slicing is
-//! approximated with an `Arc<[u8]>` plus range, which preserves upstream's
-//! O(1) `clone`/`slice`/`copy_to_bytes` behaviour.
+//! [`Buf`]), [`BytesMut`] (builder via [`BufMut`], patchable in place),
+//! and the little-endian `get_*`/`put_*` accessors. A [`Bytes`] is an
+//! `Arc<Vec<u8>>` plus a range, which keeps upstream's O(1)
+//! `clone`/`slice`/`copy_to_bytes` and, because the vector is moved rather
+//! than copied into the `Arc`, its O(1) `Bytes::from(Vec<u8>)` and
+//! [`BytesMut::freeze`].
 
-use std::ops::Deref;
+use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
 /// Read-side interface: a cursor over a byte buffer.
@@ -80,7 +82,7 @@ pub trait BufMut {
 /// Cheaply cloneable immutable byte buffer with a read cursor.
 #[derive(Clone, Default)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Arc<Vec<u8>>,
     start: usize,
     end: usize,
 }
@@ -91,8 +93,9 @@ impl Bytes {
         Bytes::from(Vec::new())
     }
 
-    /// Wraps a static slice (copied here; upstream borrows, but the
-    /// observable behaviour is identical).
+    /// Wraps a static slice. Unlike upstream, which borrows it, this
+    /// copies the slice once into a new allocation; clones and slices of
+    /// the result share that copy.
     pub fn from_static(data: &'static [u8]) -> Bytes {
         Bytes::copy_from_slice(data)
     }
@@ -133,10 +136,11 @@ impl Bytes {
 }
 
 impl From<Vec<u8>> for Bytes {
+    /// Takes ownership of the vector's allocation without copying it.
     fn from(data: Vec<u8>) -> Bytes {
         let end = data.len();
         Bytes {
-            data: data.into(),
+            data: Arc::new(data),
             start: 0,
             end,
         }
@@ -163,6 +167,12 @@ impl PartialEq for Bytes {
 }
 
 impl Eq for Bytes {}
+
+impl PartialEq<Vec<u8>> for Bytes {
+    fn eq(&self, other: &Vec<u8>) -> bool {
+        self[..] == other[..]
+    }
+}
 
 impl std::hash::Hash for Bytes {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
@@ -236,7 +246,8 @@ impl BytesMut {
         self.data.extend_from_slice(src);
     }
 
-    /// Converts into an immutable [`Bytes`] without copying.
+    /// Converts into an immutable [`Bytes`] that keeps this builder's
+    /// allocation: no byte is copied.
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.data)
     }
@@ -246,6 +257,12 @@ impl Deref for BytesMut {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
         &self.data
+    }
+}
+
+impl DerefMut for BytesMut {
+    fn deref_mut(&mut self) -> &mut [u8] {
+        &mut self.data
     }
 }
 
@@ -289,6 +306,43 @@ mod tests {
         assert_eq!(&head[..], &[1, 2]);
         assert_eq!(b.remaining(), 3);
         assert_eq!(&b[..], &[3, 4, 5]);
+    }
+
+    #[test]
+    fn from_vec_and_freeze_keep_the_allocation() {
+        let v = vec![1u8; 4096];
+        let p = v.as_ptr();
+        let b = Bytes::from(v);
+        assert_eq!(b.as_ptr(), p);
+        assert_eq!(b.clone().as_ptr(), p);
+
+        let mut m = BytesMut::with_capacity(4096);
+        m.extend_from_slice(&[2u8; 4096]);
+        let p = m.as_ptr();
+        assert_eq!(m.freeze().as_ptr(), p);
+    }
+
+    #[test]
+    fn slice_and_copy_to_bytes_share_the_allocation() {
+        let mut b = Bytes::from((0..=255u8).collect::<Vec<_>>());
+        let base = b.as_ptr();
+        let mid = b.slice(100..200);
+        assert_eq!(mid.as_ptr(), base.wrapping_add(100));
+        assert_eq!(&mid[..], &(100..200u8).collect::<Vec<_>>()[..]);
+        b.advance(10);
+        let head = b.copy_to_bytes(20);
+        assert_eq!(head.as_ptr(), base.wrapping_add(10));
+        assert_eq!(b.as_ptr(), base.wrapping_add(30));
+    }
+
+    #[test]
+    fn bytes_mut_patches_in_place() {
+        let mut m = BytesMut::new();
+        m.put_u32_le(0);
+        m.put_u8(9);
+        let len = (m.len() - 4) as u32;
+        m[..4].copy_from_slice(&len.to_le_bytes());
+        assert_eq!(&m.freeze()[..], &[1, 0, 0, 0, 9]);
     }
 
     #[test]
