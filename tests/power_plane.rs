@@ -2,7 +2,7 @@
 //! variant scores sleeps through the same `PredictionTracker` path,
 //! powered runs replay bit-identically, and observation stays passive.
 
-use eevfs::config::{ClusterSpec, EevfsConfig};
+use eevfs::config::{ClusterSpec, EevfsConfig, PowerPolicy as PowerPolicyKind};
 use eevfs::driver::{run_cluster, simulate, DurabilitySetup, ObsReport, Scenario};
 use eevfs::metrics::RunMetrics;
 use eevfs::scrub::ScrubPolicy;
@@ -139,4 +139,36 @@ fn spin_budget_denies_sleeps_at_cap_zero() {
     assert_eq!(capped.prediction.sleeps, 0, "cap 0 must forbid sleeping");
     assert!(capped.tier.sleeps_denied > 0, "denials must be metered");
     assert_eq!(capped.transitions.spin_downs, 0);
+}
+
+/// The paper's timer configurations — PF(70) with hints off, PF(70) under
+/// the idle-timer (PDC) policy, and NPF under the idle-timer policy — make
+/// exactly the sleep decisions of the plane's fixed 5 s threshold: every
+/// `RunMetrics` field agrees except `tier`, which only an explicit policy
+/// reports.
+#[test]
+fn paper_timer_configs_equal_the_fixed_plane() {
+    let cluster = ClusterSpec::paper_testbed();
+    let trace = generate(&SyntheticSpec {
+        requests: 2_000,
+        ..SyntheticSpec::paper_default()
+    });
+    let mut hints_off = EevfsConfig::paper_pf(70);
+    hints_off.hints = false;
+    let mut pf_timer = EevfsConfig::paper_pf(70);
+    pf_timer.power = PowerPolicyKind::IdleTimer;
+    let mut npf_timer = EevfsConfig::paper_npf();
+    npf_timer.power = PowerPolicyKind::IdleTimer;
+    let policy = PowerPolicy::paper_fixed();
+    for (name, cfg) in [
+        ("PF(70) hints off", hints_off),
+        ("PF(70) idle timer", pf_timer),
+        ("NPF idle timer", npf_timer),
+    ] {
+        let from_cfg = run(&Scenario::new(&cluster, &cfg, &trace));
+        let mut from_plane = run(&powered(&cluster, &cfg, &trace, &policy));
+        assert!(from_cfg.prediction.sleeps > 0, "{name}: run must sleep");
+        from_plane.tier = from_cfg.tier;
+        assert_eq!(from_cfg, from_plane, "{name}: the two paths disagree");
+    }
 }
