@@ -39,8 +39,14 @@ pub trait IdlePredictor: std::fmt::Debug {
     /// Short policy name for reports.
     fn name(&self) -> &'static str;
 
-    /// Called once when the disk goes idle at `now`.
+    /// Called once when the disk goes idle. `now` is on the expected
+    /// access pattern's clock: the simulation time minus the drift the
+    /// plane was last told about (zero under open-loop replay).
     fn on_idle(&mut self, now: SimTime) -> IdleVerdict;
+
+    /// Reports that a physical access the expected pattern predicted has
+    /// arrived (hint-driven predictors advance their schedule).
+    fn on_expected_touch(&mut self) {}
 
     /// Reports a realised idle gap on the disk (previous busy end to this
     /// access), slept through or not. Zero-length gaps (arrivals during a
@@ -90,6 +96,72 @@ impl IdlePredictor for FixedThreshold {
 
     fn on_idle(&mut self, _now: SimTime) -> IdleVerdict {
         IdleVerdict::After(self.threshold)
+    }
+}
+
+/// The paper's hint-driven policy (§III-C, §IV-C): the server hands each
+/// node the expected access pattern, so the predictor knows when the disk
+/// will next be *physically* touched — by a request the buffer disk will
+/// not absorb — and sleeps the disk the moment it goes idle if that
+/// window clears the idle threshold. No timer is ever armed.
+///
+/// The schedule's cursor advances once per expected touch that actually
+/// arrives ([`IdlePredictor::on_expected_touch`]), in arrival order, so
+/// the next pending entry is always the next *expected* touch.
+#[derive(Debug, Clone)]
+pub struct HintedThreshold {
+    touches: Vec<SimTime>,
+    cursor: usize,
+    threshold: SimDuration,
+    /// Window to the next pending touch computed at the last idle onset;
+    /// `None` when unbounded (nothing pending) or the touch is overdue.
+    window: Option<SimDuration>,
+}
+
+impl HintedThreshold {
+    /// A hint-driven predictor over sorted expected touch times (on the
+    /// pattern clock) with the given idle threshold.
+    pub fn new(touches: Vec<SimTime>, threshold: SimDuration) -> Self {
+        debug_assert!(touches.windows(2).all(|w| w[0] <= w[1]));
+        HintedThreshold {
+            touches,
+            cursor: 0,
+            threshold,
+            window: None,
+        }
+    }
+
+    /// Expected touches not yet arrived.
+    pub fn remaining(&self) -> usize {
+        self.touches.len() - self.cursor
+    }
+}
+
+impl IdlePredictor for HintedThreshold {
+    fn name(&self) -> &'static str {
+        "hinted"
+    }
+
+    fn on_idle(&mut self, now: SimTime) -> IdleVerdict {
+        // Nothing pending: the window is unbounded, sleep. An overdue
+        // touch (queued somewhere) could land any moment: stay up.
+        let Some(&next) = self.touches.get(self.cursor) else {
+            self.window = None;
+            return IdleVerdict::SleepNow;
+        };
+        self.window = (next > now).then(|| next - now);
+        match self.window {
+            Some(w) if w >= self.threshold => IdleVerdict::SleepNow,
+            _ => IdleVerdict::Stay,
+        }
+    }
+
+    fn on_expected_touch(&mut self) {
+        self.cursor = (self.cursor + 1).min(self.touches.len());
+    }
+
+    fn predicted_idle(&self) -> Option<SimDuration> {
+        self.window
     }
 }
 
@@ -346,6 +418,100 @@ mod tests {
         );
         assert_eq!(p.predicted_idle(), None);
         assert!(p.timer_allows_sleep());
+    }
+
+    fn at(s: u64) -> SimTime {
+        SimTime::from_secs(s)
+    }
+
+    /// The paper's hinted predictor: 5 s threshold over `touches`.
+    fn hinted(touches: &[u64]) -> HintedThreshold {
+        HintedThreshold::new(touches.iter().map(|&s| at(s)).collect(), secs(5))
+    }
+
+    #[test]
+    fn hinted_cursor_walks_touches() {
+        let mut p = hinted(&[1, 5, 20]);
+        assert_eq!(p.remaining(), 3);
+        // Next touch at 1 s: overdue at t=2.
+        assert_eq!(p.on_idle(at(2)), IdleVerdict::Stay);
+        p.on_expected_touch();
+        // Next touch at 5 s: a 3 s window at t=2.
+        assert_eq!(p.on_idle(at(2)), IdleVerdict::Stay);
+        assert_eq!(p.predicted_idle(), Some(secs(3)));
+        p.on_expected_touch();
+        p.on_expected_touch();
+        assert_eq!(p.remaining(), 0);
+        assert_eq!(p.on_idle(at(2)), IdleVerdict::SleepNow);
+        p.on_expected_touch(); // saturates
+        assert_eq!(p.remaining(), 0);
+    }
+
+    #[test]
+    fn hinted_sleeps_immediately_across_long_window() {
+        let mut p = hinted(&[100]);
+        assert_eq!(p.on_idle(at(10)), IdleVerdict::SleepNow);
+        assert!(p.timer_allows_sleep());
+    }
+
+    #[test]
+    fn hinted_refuses_short_window() {
+        // Next touch 2 s away < 5 s threshold.
+        assert_eq!(hinted(&[12]).on_idle(at(10)), IdleVerdict::Stay);
+    }
+
+    #[test]
+    fn hinted_sleeps_forever_when_nothing_pending() {
+        assert_eq!(hinted(&[]).on_idle(SimTime::ZERO), IdleVerdict::SleepNow);
+    }
+
+    #[test]
+    fn hinted_overdue_touch_blocks_sleep() {
+        // The expected touch is already overdue (queued somewhere): the
+        // request could land any moment, so stay up.
+        assert_eq!(hinted(&[5]).on_idle(at(10)), IdleVerdict::Stay);
+    }
+
+    #[test]
+    fn hinted_drift_shifts_windows() {
+        // The plane hands the predictor the pattern clock, `now − drift`.
+        let mut p = hinted(&[12]);
+        // Without drift, the window (2 s) is too short at t=10.
+        assert_eq!(p.on_idle(at(10)), IdleVerdict::Stay);
+        // With 8 s of drift the pattern clock reads 2 s at t=10, and the
+        // touch is 10 s away: sleep.
+        assert_eq!(p.on_idle(at(10 - 8)), IdleVerdict::SleepNow);
+        assert_eq!(p.predicted_idle(), Some(secs(10)));
+    }
+
+    #[test]
+    fn hinted_predicted_window_mirrors_the_decision() {
+        let mut p = hinted(&[12]);
+        // Bounded window: 2 s to the predicted touch.
+        p.on_idle(at(10));
+        assert_eq!(p.predicted_idle(), Some(secs(2)));
+        // Overdue touch: no bounded prediction.
+        p.on_idle(at(12));
+        assert_eq!(p.predicted_idle(), None);
+        // Nothing pending: unbounded.
+        let mut p = hinted(&[]);
+        p.on_idle(at(10));
+        assert_eq!(p.predicted_idle(), None);
+        // Timer policies never predict.
+        let mut p = FixedThreshold::new(secs(5));
+        p.on_idle(at(10));
+        assert_eq!(p.predicted_idle(), None);
+    }
+
+    #[test]
+    fn hinted_consume_moves_the_window() {
+        let mut p = hinted(&[12, 100]);
+        assert_eq!(p.on_idle(at(10)), IdleVerdict::Stay);
+        p.on_expected_touch();
+        // Next touch now 100 s: big window.
+        assert_eq!(p.on_idle(at(13)), IdleVerdict::SleepNow);
+        assert_eq!(p.predicted_idle(), Some(secs(87)));
+        assert_eq!(p.remaining(), 1);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Disk power management (§III-C, §IV-C).
+//! Disk power management (§III-C, §IV-C): the paper's configuration as an
+//! `eevfs-power` policy plane.
 //!
 //! Each storage node receives its slice of the expected access pattern
 //! from the server and predicts, per data disk, when the disk will next be
@@ -11,8 +12,9 @@
 //! * **Application hints** (§IV-C): with hints the node trusts the
 //!   predicted window and sleeps the disk immediately as it goes idle
 //!   ("we sleep a disk as a particular request enters the storage client
-//!   node"); without hints it waits out the idle threshold first, the
-//!   conservative timer behaviour.
+//!   node") — [`HintedThreshold`]; without hints it waits out the idle
+//!   threshold first, the conservative timer behaviour —
+//!   [`FixedThreshold`].
 //! * **No-opportunity gate**: when the up-front energy prediction model
 //!   finds no net benefit, power management stands down for the whole run
 //!   rather than thrash drives for nothing.
@@ -22,347 +24,119 @@
 //! which is why the paper's NPF runs show zero transitions.
 
 use crate::config::{EevfsConfig, PowerPolicy};
+use eevfs_power::{FixedThreshold, HintedThreshold, IdlePredictor, PolicyPlane};
 use sim_core::{SimDuration, SimTime};
 
-/// Predicted physical-touch schedule for one data disk.
+/// Maps the paper's power configuration onto a policy plane with no cache
+/// tiers and unlimited spin budgets, and says whether it engages.
 ///
-/// The cursor advances once per physical request actually served, in
-/// arrival order (the server's FIFO preserves trace order per node), so
-/// `next_pending` always points at the next *expected* touch.
-#[derive(Debug, Clone, Default)]
-pub struct DiskPredictor {
-    touches: Vec<SimTime>,
-    cursor: usize,
-}
-
-impl DiskPredictor {
-    /// Builds a predictor from sorted expected touch times.
-    pub fn new(touches: Vec<SimTime>) -> Self {
-        debug_assert!(touches.windows(2).all(|w| w[0] <= w[1]));
-        DiskPredictor { touches, cursor: 0 }
-    }
-
-    /// The next expected physical touch, if any remain.
-    pub fn next_pending(&self) -> Option<SimTime> {
-        self.touches.get(self.cursor).copied()
-    }
-
-    /// Records that one expected physical request arrived.
-    pub fn consume(&mut self) {
-        if self.cursor < self.touches.len() {
-            self.cursor += 1;
-        }
-    }
-
-    /// Expected touches not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.touches.len() - self.cursor
-    }
-}
-
-/// What the power manager wants done with an idle disk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SleepDecision {
-    /// Spin down right now.
-    SleepNow,
-    /// Re-check at the given time (idle-timer expiry).
-    CheckAt(SimTime),
-    /// Leave the disk spinning.
-    No,
-}
-
-/// Per-run power-management state for the whole cluster.
-#[derive(Debug, Clone)]
-pub struct PowerManager {
-    policy: PowerPolicy,
-    threshold: SimDuration,
-    hints: bool,
-    /// Prefetching active (PrefetchAware only engages with coverage).
+/// * `IdleTimer`, or `PrefetchAware` without hints: every data disk waits
+///   out `cfg.idle_threshold` ([`FixedThreshold`]).
+/// * `PrefetchAware` with hints: [`HintedThreshold`] over
+///   `touches[node][disk]`, each data disk's sorted expected physical
+///   touch times on the pattern clock.
+///
+/// `IdleTimer` always engages; `PrefetchAware` engages only when
+/// prefetching is active and the energy model found a benefit
+/// (`worthwhile`); `None` never does. A disengaged plane is never asked
+/// for a sleep decision.
+pub fn paper_plane(
+    cfg: &EevfsConfig,
     prefetch_active: bool,
-    /// Global gate from the energy prediction model.
-    enabled: bool,
-    predictors: Vec<Vec<DiskPredictor>>,
-    /// How far actual time runs ahead of the predicted pattern's clock.
-    /// Zero under open-loop replay; under closed-loop replay the driver
-    /// updates it at every issue, so predicted touch times stay
-    /// meaningful ("the pattern says two more think-times from now", not
-    /// an absolute timestamp that queueing has already invalidated).
-    drift: SimDuration,
-}
-
-impl PowerManager {
-    /// Builds the manager. `predictors[node][disk]` must cover every data
-    /// disk; pass empty predictors for policies that do not use them.
-    pub fn new(
-        cfg: &EevfsConfig,
-        prefetch_active: bool,
-        worthwhile: bool,
-        predictors: Vec<Vec<DiskPredictor>>,
-    ) -> Self {
-        PowerManager {
-            policy: cfg.power,
-            threshold: cfg.idle_threshold,
-            hints: cfg.hints,
-            prefetch_active,
-            enabled: worthwhile,
-            predictors,
-            drift: SimDuration::ZERO,
-        }
-    }
-
-    /// Updates the pattern-clock drift (closed-loop replay).
-    pub fn set_drift(&mut self, drift: SimDuration) {
-        self.drift = drift;
-    }
-
-    /// The current drift.
-    pub fn drift(&self) -> SimDuration {
-        self.drift
-    }
-
-    /// True when this run can ever sleep a disk.
-    pub fn engaged(&self) -> bool {
-        match self.policy {
-            PowerPolicy::PrefetchAware => self.prefetch_active && self.enabled,
-            PowerPolicy::IdleTimer => true,
-            PowerPolicy::None => false,
-        }
-    }
-
-    /// The idle threshold in force.
-    pub fn threshold(&self) -> SimDuration {
-        self.threshold
-    }
-
-    /// Records a physical request hitting `(node, disk)` that the
-    /// prediction expected (caller filters out unpredicted traffic).
-    pub fn on_predicted_request(&mut self, node: usize, disk: usize) {
-        if let Some(p) = self.predictors.get_mut(node).and_then(|n| n.get_mut(disk)) {
-            p.consume();
-        }
-    }
-
-    /// Expected touches still pending for a disk (reporting/tests).
-    pub fn remaining(&self, node: usize, disk: usize) -> usize {
-        self.predictors[node][disk].remaining()
-    }
-
-    /// Decision when `(node, disk)` goes idle at `now`.
-    pub fn on_idle(&self, node: usize, disk: usize, now: SimTime) -> SleepDecision {
-        if !self.engaged() {
-            return SleepDecision::No;
-        }
-        match self.policy {
-            PowerPolicy::None => SleepDecision::No,
-            PowerPolicy::IdleTimer => SleepDecision::CheckAt(now + self.threshold),
-            PowerPolicy::PrefetchAware => {
-                if self.hints {
-                    // Trust the predicted window: sleep immediately when it
-                    // clears the threshold. Predicted times are shifted by
-                    // the observed pattern-clock drift.
-                    match self.predictors[node][disk].next_pending() {
-                        None => SleepDecision::SleepNow,
-                        Some(next) => {
-                            let next = next.saturating_add(self.drift);
-                            if next > now && next - now >= self.threshold {
-                                SleepDecision::SleepNow
-                            } else {
-                                SleepDecision::No
-                            }
-                        }
-                    }
-                } else {
-                    // Conservative: wait out the threshold on a timer.
-                    SleepDecision::CheckAt(now + self.threshold)
-                }
+    worthwhile: bool,
+    breakeven: &[Vec<SimDuration>],
+    mut touches: Vec<Vec<Vec<SimTime>>>,
+) -> (PolicyPlane, bool) {
+    let engaged = match cfg.power {
+        PowerPolicy::PrefetchAware => prefetch_active && worthwhile,
+        PowerPolicy::IdleTimer => true,
+        PowerPolicy::None => false,
+    };
+    let hinted = cfg.power == PowerPolicy::PrefetchAware && cfg.hints;
+    let threshold = cfg.idle_threshold;
+    let plane = PolicyPlane::with_predictors(
+        eevfs_power::PowerPolicy::paper_fixed(),
+        breakeven,
+        |node, disk, _| -> Box<dyn IdlePredictor> {
+            if hinted {
+                Box::new(HintedThreshold::new(
+                    std::mem::take(&mut touches[node][disk]),
+                    threshold,
+                ))
+            } else {
+                Box::new(FixedThreshold::new(threshold))
             }
-        }
-    }
-
-    /// Whether a timer that has just expired (disk idle for the whole
-    /// threshold) should put the disk down.
-    pub fn timer_allows_sleep(&self) -> bool {
-        self.engaged()
-    }
-
-    /// The drift-shifted window to the next predicted physical touch of
-    /// `(node, disk)` as seen at `now` — the quantity the hints policy
-    /// compares against the idle threshold when it decides to sleep.
-    ///
-    /// Returns `None` when no bounded prediction exists: the policy does
-    /// not use predictors (idle-timer / hints off), the predictor has no
-    /// pending touches (window unbounded), or the predicted touch is
-    /// already overdue. Observability uses this to log predicted-vs-actual
-    /// idle windows without re-deriving policy internals.
-    pub fn predicted_window(&self, node: usize, disk: usize, now: SimTime) -> Option<SimDuration> {
-        if self.policy != PowerPolicy::PrefetchAware || !self.hints {
-            return None;
-        }
-        let next = self
-            .predictors
-            .get(node)
-            .and_then(|n| n.get(disk))
-            .and_then(|p| p.next_pending())?;
-        let next = next.saturating_add(self.drift);
-        if next > now {
-            Some(next - now)
-        } else {
-            None
-        }
-    }
+        },
+    );
+    (plane, engaged)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::EevfsConfig;
+    use eevfs_power::IdleVerdict;
 
     fn secs(s: u64) -> SimTime {
         SimTime::from_secs(s)
     }
 
-    fn manager(cfg: &EevfsConfig, prefetch: bool, touches: Vec<SimTime>) -> PowerManager {
-        PowerManager::new(cfg, prefetch, true, vec![vec![DiskPredictor::new(touches)]])
+    /// The paper plane for one node with one data disk expecting
+    /// `touches`.
+    fn plane(cfg: &EevfsConfig, prefetch: bool, touches: Vec<SimTime>) -> (PolicyPlane, bool) {
+        let breakeven = vec![vec![SimDuration::from_secs(13)]];
+        paper_plane(cfg, prefetch, true, &breakeven, vec![vec![touches]])
     }
 
     #[test]
-    fn predictor_cursor_walks_touches() {
-        let mut p = DiskPredictor::new(vec![secs(1), secs(5), secs(20)]);
-        assert_eq!(p.next_pending(), Some(secs(1)));
-        assert_eq!(p.remaining(), 3);
-        p.consume();
-        assert_eq!(p.next_pending(), Some(secs(5)));
-        p.consume();
-        p.consume();
-        assert_eq!(p.next_pending(), None);
-        assert_eq!(p.remaining(), 0);
-        p.consume(); // saturates
-        assert_eq!(p.remaining(), 0);
-    }
-
-    #[test]
-    fn hints_sleep_immediately_across_long_window() {
+    fn hints_sleep_now_and_without_hints_a_timer_is_armed() {
         let cfg = EevfsConfig::paper_pf(70);
-        let m = manager(&cfg, true, vec![secs(100)]);
-        assert_eq!(m.on_idle(0, 0, secs(10)), SleepDecision::SleepNow);
-    }
-
-    #[test]
-    fn hints_refuse_short_window() {
-        let cfg = EevfsConfig::paper_pf(70);
-        let m = manager(&cfg, true, vec![secs(12)]);
-        // Next touch 2 s away < 5 s threshold.
-        assert_eq!(m.on_idle(0, 0, secs(10)), SleepDecision::No);
-    }
-
-    #[test]
-    fn hints_sleep_forever_when_nothing_pending() {
-        let cfg = EevfsConfig::paper_pf(70);
-        let m = manager(&cfg, true, vec![]);
-        assert_eq!(m.on_idle(0, 0, SimTime::ZERO), SleepDecision::SleepNow);
-    }
-
-    #[test]
-    fn overdue_predicted_touch_blocks_sleep() {
-        let cfg = EevfsConfig::paper_pf(70);
-        let m = manager(&cfg, true, vec![secs(5)]);
-        // The expected touch is already overdue (queued somewhere): the
-        // request could land any moment, so stay up.
-        assert_eq!(m.on_idle(0, 0, secs(10)), SleepDecision::No);
-    }
-
-    #[test]
-    fn without_hints_a_timer_is_armed() {
+        let (mut p, engaged) = plane(&cfg, true, vec![secs(100)]);
+        assert!(engaged);
+        assert_eq!(p.on_idle(0, 0, secs(10)), IdleVerdict::SleepNow);
         let mut cfg = EevfsConfig::paper_pf(70);
         cfg.hints = false;
-        let m = manager(&cfg, true, vec![secs(100)]);
-        assert_eq!(m.on_idle(0, 0, secs(10)), SleepDecision::CheckAt(secs(15)));
-        assert!(m.timer_allows_sleep());
+        let (mut p, engaged) = plane(&cfg, true, vec![secs(100)]);
+        assert!(engaged);
+        assert_eq!(
+            p.on_idle(0, 0, secs(10)),
+            IdleVerdict::After(SimDuration::from_secs(5))
+        );
+        assert!(p.timer_allows_sleep(0, 0));
+        assert_eq!(p.predicted_idle(0, 0), None);
     }
 
     #[test]
-    fn npf_never_sleeps_under_prefetch_aware_policy() {
+    fn npf_never_engages_under_prefetch_aware_policy() {
         let cfg = EevfsConfig::paper_npf();
-        let m = manager(&cfg, false, vec![]);
-        assert!(!m.engaged());
-        assert_eq!(m.on_idle(0, 0, secs(50)), SleepDecision::No);
-        assert!(!m.timer_allows_sleep());
+        let (_, engaged) = plane(&cfg, false, vec![]);
+        assert!(!engaged);
     }
 
     #[test]
-    fn benefit_gate_disables_everything() {
+    fn benefit_gate_disables_sleeping() {
         let cfg = EevfsConfig::paper_pf(70);
-        let m = PowerManager::new(&cfg, true, false, vec![vec![DiskPredictor::default()]]);
-        assert!(!m.engaged());
-        assert_eq!(m.on_idle(0, 0, secs(50)), SleepDecision::No);
+        let breakeven = vec![vec![SimDuration::from_secs(13)]];
+        let (_, engaged) = paper_plane(&cfg, true, false, &breakeven, vec![vec![vec![]]]);
+        assert!(!engaged);
     }
 
     #[test]
     fn idle_timer_policy_works_without_prefetch() {
         let mut cfg = EevfsConfig::paper_npf();
         cfg.power = PowerPolicy::IdleTimer;
-        let m = manager(&cfg, false, vec![]);
-        assert!(m.engaged());
-        assert_eq!(m.on_idle(0, 0, secs(10)), SleepDecision::CheckAt(secs(15)));
+        let (mut p, engaged) = plane(&cfg, false, vec![]);
+        assert!(engaged);
+        assert_eq!(
+            p.on_idle(0, 0, secs(10)),
+            IdleVerdict::After(SimDuration::from_secs(5))
+        );
     }
 
     #[test]
-    fn none_policy_never_sleeps() {
+    fn none_policy_never_engages() {
         let mut cfg = EevfsConfig::paper_pf(70);
         cfg.power = PowerPolicy::None;
-        let m = manager(&cfg, true, vec![]);
-        assert!(!m.engaged());
-        assert_eq!(m.on_idle(0, 0, secs(10)), SleepDecision::No);
-    }
-
-    #[test]
-    fn drift_shifts_predicted_windows() {
-        let cfg = EevfsConfig::paper_pf(70);
-        let mut m = manager(&cfg, true, vec![secs(12)]);
-        // Without drift, the window (2 s) is too short at t=10.
-        assert_eq!(m.on_idle(0, 0, secs(10)), SleepDecision::No);
-        // With 20 s of drift the touch is effectively at t=32: sleep.
-        m.set_drift(SimDuration::from_secs(20));
-        assert_eq!(m.on_idle(0, 0, secs(10)), SleepDecision::SleepNow);
-        assert_eq!(m.drift(), SimDuration::from_secs(20));
-    }
-
-    #[test]
-    fn predicted_window_mirrors_the_hints_decision() {
-        let cfg = EevfsConfig::paper_pf(70);
-        let mut m = manager(&cfg, true, vec![secs(12)]);
-        // Bounded window: 2 s to the predicted touch.
-        assert_eq!(
-            m.predicted_window(0, 0, secs(10)),
-            Some(SimDuration::from_secs(2))
-        );
-        // Drift shifts it exactly as on_idle sees it.
-        m.set_drift(SimDuration::from_secs(20));
-        assert_eq!(
-            m.predicted_window(0, 0, secs(10)),
-            Some(SimDuration::from_secs(22))
-        );
-        // Overdue touch: no bounded prediction.
-        m.set_drift(SimDuration::ZERO);
-        assert_eq!(m.predicted_window(0, 0, secs(12)), None);
-        // Nothing pending: unbounded.
-        let m = manager(&cfg, true, vec![]);
-        assert_eq!(m.predicted_window(0, 0, secs(10)), None);
-        // Timer policies never predict.
-        let mut cfg = EevfsConfig::paper_pf(70);
-        cfg.hints = false;
-        let m = manager(&cfg, true, vec![secs(100)]);
-        assert_eq!(m.predicted_window(0, 0, secs(10)), None);
-    }
-
-    #[test]
-    fn consume_moves_the_window() {
-        let cfg = EevfsConfig::paper_pf(70);
-        let mut m = manager(&cfg, true, vec![secs(12), secs(100)]);
-        assert_eq!(m.on_idle(0, 0, secs(10)), SleepDecision::No);
-        m.on_predicted_request(0, 0);
-        // Next touch now 100 s: big window.
-        assert_eq!(m.on_idle(0, 0, secs(13)), SleepDecision::SleepNow);
-        assert_eq!(m.remaining(0, 0), 1);
+        let (_, engaged) = plane(&cfg, true, vec![]);
+        assert!(!engaged);
     }
 }
