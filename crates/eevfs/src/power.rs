@@ -32,39 +32,39 @@ use sim_core::{SimDuration, SimTime};
 ///
 /// * `IdleTimer`, or `PrefetchAware` without hints: every data disk waits
 ///   out `cfg.idle_threshold` ([`FixedThreshold`]).
-/// * `PrefetchAware` with hints: [`HintedThreshold`] over
-///   `touches[node][disk]`, each data disk's sorted expected physical
-///   touch times on the pattern clock.
+/// * `PrefetchAware` with hints, engaged: [`HintedThreshold`] over
+///   `touches()[node][disk]`, each data disk's sorted expected physical
+///   touch times on the pattern clock. `touches` runs only in this case.
 ///
 /// `IdleTimer` always engages; `PrefetchAware` engages only when
 /// prefetching is active and the energy model found a benefit
 /// (`worthwhile`); `None` never does. A disengaged plane is never asked
-/// for a sleep decision.
+/// for a sleep decision, so its predictors are the cheap fixed ones.
 pub fn paper_plane(
     cfg: &EevfsConfig,
     prefetch_active: bool,
     worthwhile: bool,
     breakeven: &[Vec<SimDuration>],
-    mut touches: Vec<Vec<Vec<SimTime>>>,
+    touches: impl FnOnce() -> Vec<Vec<Vec<SimTime>>>,
 ) -> (PolicyPlane, bool) {
     let engaged = match cfg.power {
         PowerPolicy::PrefetchAware => prefetch_active && worthwhile,
         PowerPolicy::IdleTimer => true,
         PowerPolicy::None => false,
     };
-    let hinted = cfg.power == PowerPolicy::PrefetchAware && cfg.hints;
+    let hinted = engaged && cfg.power == PowerPolicy::PrefetchAware && cfg.hints;
+    let mut touches = hinted.then(touches);
     let threshold = cfg.idle_threshold;
     let plane = PolicyPlane::with_predictors(
         eevfs_power::PowerPolicy::paper_fixed(),
         breakeven,
         |node, disk, _| -> Box<dyn IdlePredictor> {
-            if hinted {
-                Box::new(HintedThreshold::new(
-                    std::mem::take(&mut touches[node][disk]),
+            match touches.as_mut() {
+                Some(t) => Box::new(HintedThreshold::new(
+                    std::mem::take(&mut t[node][disk]),
                     threshold,
-                ))
-            } else {
-                Box::new(FixedThreshold::new(threshold))
+                )),
+                None => Box::new(FixedThreshold::new(threshold)),
             }
         },
     );
@@ -84,7 +84,7 @@ mod tests {
     /// `touches`.
     fn plane(cfg: &EevfsConfig, prefetch: bool, touches: Vec<SimTime>) -> (PolicyPlane, bool) {
         let breakeven = vec![vec![SimDuration::from_secs(13)]];
-        paper_plane(cfg, prefetch, true, &breakeven, vec![vec![touches]])
+        paper_plane(cfg, prefetch, true, &breakeven, || vec![vec![touches]])
     }
 
     #[test]
@@ -108,7 +108,10 @@ mod tests {
     #[test]
     fn npf_never_engages_under_prefetch_aware_policy() {
         let cfg = EevfsConfig::paper_npf();
-        let (_, engaged) = plane(&cfg, false, vec![]);
+        let breakeven = vec![vec![SimDuration::from_secs(13)]];
+        let (_, engaged) = paper_plane(&cfg, false, true, &breakeven, || {
+            unreachable!("a disengaged plane needs no touch schedule")
+        });
         assert!(!engaged);
     }
 
@@ -116,7 +119,9 @@ mod tests {
     fn benefit_gate_disables_sleeping() {
         let cfg = EevfsConfig::paper_pf(70);
         let breakeven = vec![vec![SimDuration::from_secs(13)]];
-        let (_, engaged) = paper_plane(&cfg, true, false, &breakeven, vec![vec![vec![]]]);
+        let (_, engaged) = paper_plane(&cfg, true, false, &breakeven, || {
+            unreachable!("a disengaged plane needs no touch schedule")
+        });
         assert!(!engaged);
     }
 
