@@ -33,6 +33,16 @@ use std::time::Duration;
 /// exponential draw cannot stall a test run.
 const MAX_DELAY_SLEEP: Duration = Duration::from_secs(2);
 
+/// Turns Nagle's algorithm off on a runtime socket. Every frame is written
+/// whole and then waited on, so there is never a later write for Nagle to
+/// coalesce with: it can only hold a frame's tail segment back until the
+/// peer's (possibly delayed) ACK. Connects and accepts both go through
+/// here, so every runtime socket sends its frames at once.
+pub fn no_delay(conn: TcpStream) -> io::Result<TcpStream> {
+    conn.set_nodelay(true)?;
+    Ok(conn)
+}
+
 /// What happened to a fault-gated send.
 #[derive(Debug)]
 pub enum SendError {
