@@ -24,8 +24,15 @@ use std::path::{Path, PathBuf};
 /// Every byte is a function of `(id, offset)`, so a flipped block anywhere
 /// in the pipeline fails verification.
 pub fn file_pattern(id: u32, size: u64) -> Vec<u8> {
-    let mut state = (id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
     let mut out = Vec::with_capacity(size as usize);
+    fill_pattern(id, size, &mut out);
+    out
+}
+
+/// [`file_pattern`] into a caller's buffer, cleared first.
+fn fill_pattern(id: u32, size: u64, out: &mut Vec<u8>) {
+    out.clear();
+    let mut state = (id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
     while (out.len() as u64) < size {
         // xorshift64*
         state ^= state >> 12;
@@ -39,7 +46,6 @@ pub fn file_pattern(id: u32, size: u64) -> Vec<u8> {
             out.push(b);
         }
     }
-    out
 }
 
 /// Verifies contents against [`file_pattern`].
@@ -99,11 +105,23 @@ impl FileStore {
 
     /// Creates a file with deterministic contents on a data disk.
     pub fn create_file(&self, disk: usize, file: u32, size: u64) -> io::Result<()> {
+        self.create_file_with(disk, file, size, &mut Vec::new())
+    }
+
+    /// [`FileStore::create_file`], building the contents in `scratch`, a
+    /// buffer the caller reuses.
+    pub fn create_file_with(
+        &self,
+        disk: usize,
+        file: u32,
+        size: u64,
+        scratch: &mut Vec<u8>,
+    ) -> io::Result<()> {
         assert!(disk < self.data_disks, "disk {disk} out of range");
-        let data = file_pattern(file, size);
+        fill_pattern(file, size, scratch);
         let mut f = fs::File::create(self.data_path(disk, file))?;
-        f.write_all(&data)?;
-        self.write_crc(disk, file, &data)
+        f.write_all(scratch)?;
+        self.write_crc(disk, file, scratch)
     }
 
     /// Reads a file from a data disk, verifying it against its CRC32
@@ -112,20 +130,29 @@ impl FileStore {
     /// corruption from the file simply not being there.
     pub fn read_data(&self, disk: usize, file: u32) -> io::Result<Vec<u8>> {
         let mut buf = Vec::new();
-        fs::File::open(self.data_path(disk, file))?.read_to_end(&mut buf)?;
+        self.read_data_into(disk, file, &mut buf)?;
+        Ok(buf)
+    }
+
+    /// [`FileStore::read_data`] into a caller's buffer, which is cleared
+    /// first and reused: a node serving many reads allocates only when a
+    /// file is larger than any before it.
+    pub fn read_data_into(&self, disk: usize, file: u32, buf: &mut Vec<u8>) -> io::Result<()> {
+        buf.clear();
+        fs::File::open(self.data_path(disk, file))?.read_to_end(buf)?;
         let sidecar = fs::read(self.crc_path(disk, file))
             .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "checksum sidecar missing"))?;
         let stored: [u8; 4] = sidecar
             .as_slice()
             .try_into()
             .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "checksum sidecar damaged"))?;
-        if crc32(&buf) != u32::from_le_bytes(stored) {
+        if crc32(buf) != u32::from_le_bytes(stored) {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("checksum mismatch on disk{disk}/f{file:08}"),
             ));
         }
-        Ok(buf)
+        Ok(())
     }
 
     /// Fault injection: flips one byte of a data-disk file **without**
@@ -149,10 +176,16 @@ impl FileStore {
     /// is detected rather than silently promoted into the buffer every
     /// future read would then hit.
     pub fn prefetch(&self, disk: usize, file: u32) -> io::Result<u64> {
-        let data = self.read_data(disk, file)?;
+        self.prefetch_with(disk, file, &mut Vec::new())
+    }
+
+    /// [`FileStore::prefetch`] through `scratch`, a buffer the caller
+    /// reuses.
+    pub fn prefetch_with(&self, disk: usize, file: u32, scratch: &mut Vec<u8>) -> io::Result<u64> {
+        self.read_data_into(disk, file, scratch)?;
         let mut f = fs::File::create(self.buffer_path(file))?;
-        f.write_all(&data)?;
-        Ok(data.len() as u64)
+        f.write_all(scratch)?;
+        Ok(scratch.len() as u64)
     }
 
     /// Writes client-supplied data into the buffer area (write buffering).
@@ -173,8 +206,15 @@ impl FileStore {
     /// Reads a file from the buffer area.
     pub fn read_buffer(&self, file: u32) -> io::Result<Vec<u8>> {
         let mut buf = Vec::new();
-        fs::File::open(self.buffer_path(file))?.read_to_end(&mut buf)?;
+        self.read_buffer_into(file, &mut buf)?;
         Ok(buf)
+    }
+
+    /// [`FileStore::read_buffer`] into a caller's buffer, cleared first.
+    pub fn read_buffer_into(&self, file: u32, buf: &mut Vec<u8>) -> io::Result<()> {
+        buf.clear();
+        fs::File::open(self.buffer_path(file))?.read_to_end(buf)?;
+        Ok(())
     }
 
     /// True when the buffer area holds the file.
@@ -301,6 +341,30 @@ mod tests {
         store.create_file(0, 6, 128)?;
         fs::remove_file(store.crc_path(0, 6))?;
         expect_invalid(store.read_data(0, 6), "read without sidecar")?;
+        let _ = fs::remove_dir_all(store.root());
+        Ok(())
+    }
+
+    #[test]
+    fn reads_into_a_reused_buffer() -> io::Result<()> {
+        let store = FileStore::create(tmp(), 1)?;
+        let mut buf = Vec::new();
+        store.create_file_with(0, 1, 4096, &mut buf)?;
+        store.create_file_with(0, 2, 100, &mut buf)?;
+        assert_eq!(store.prefetch_with(0, 1, &mut buf)?, 4096);
+        store.read_data_into(0, 1, &mut buf)?;
+        assert!(verify_pattern(1, &buf));
+        let grown = buf.capacity();
+        store.read_data_into(0, 2, &mut buf)?;
+        assert!(
+            verify_pattern(2, &buf),
+            "a shorter file must not keep old bytes"
+        );
+        store.read_buffer_into(1, &mut buf)?;
+        assert!(verify_pattern(1, &buf));
+        assert_eq!(buf.capacity(), grown, "the buffer is reused, not regrown");
+        store.corrupt_data(0, 2, 10)?;
+        expect_invalid(store.read_data_into(0, 2, &mut buf), "read of corrupt file")?;
         let _ = fs::remove_dir_all(store.root());
         Ok(())
     }

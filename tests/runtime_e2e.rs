@@ -350,22 +350,69 @@ fn slow_links_trigger_hedged_reads_on_the_wire() {
         mean_delay: SimDuration::from_millis(60),
     };
     let mut cluster = ClusterHandle::start(cfg, &trace).expect("start");
+    // Both copies of a hedged read push under the same request id over
+    // their nodes' persistent push connections, so the loser's copy
+    // arrives after its request is over, ahead of the next request's own
+    // push. It must be dropped by id: every read that lands returns its
+    // own file, never the file the read before it asked for.
     let mut ok = 0;
-    for file in 0..10u32 {
-        if let Ok(got) = cluster.get(file) {
-            assert!(verify_pattern(file, &got.data));
-            ok += 1;
+    for round in 0..2u32 {
+        for file in 0..10u32 {
+            let file = if round == 0 { file } else { 9 - file };
+            match cluster.get_verified(file) {
+                Ok(_) => ok += 1,
+                Err(e) => assert!(
+                    !e.to_string().contains("verification") && !e.to_string().contains("push of"),
+                    "a stale push answered a later read: {e}"
+                ),
+            }
         }
     }
     let stats = cluster.stats().expect("stats");
     cluster.shutdown();
     // The race between a hedge loser's error and the winner's push can
     // cost the odd request; the bulk must still land in time.
-    assert!(ok >= 8, "only {ok}/10 reads landed: {stats:?}");
+    assert!(ok >= 16, "only {ok}/20 reads landed: {stats:?}");
     assert!(
         stats.hedges >= 1,
         "60 ms mean spikes vs a 20 ms hedge trigger must hedge: {stats:?}"
     );
+}
+
+#[test]
+fn consecutive_load_campaigns_reuse_the_push_path() {
+    use eevfs_runtime::{loadgen, LoadConfig};
+    use std::time::Duration;
+
+    // Each campaign's workers are new clients on new callback ports. The
+    // nodes keep push connections to the first campaign's clients after
+    // they have closed, and must replace them rather than write into
+    // them, so the second campaign is served as cleanly as the first.
+    let trace = small_trace(8, 6, 2.0);
+    let mut cluster =
+        ClusterHandle::start(RuntimeConfig::small("campaigns"), &trace).expect("start");
+    let addr = cluster.server_addr().expect("addr");
+    for seed in [1, 2] {
+        let report = loadgen::run(
+            addr,
+            &LoadConfig {
+                clients: 2,
+                requests_per_client: 25,
+                think: Duration::ZERO,
+                deadline_us: 0,
+                files: 8,
+                seed,
+                request_timeout: Duration::from_secs(20),
+            },
+        );
+        assert!(report.ledger_closes(), "{report:?}");
+        assert_eq!(report.errors, 0, "campaign {seed}: {report:?}");
+        assert_eq!(report.completed, 50, "campaign {seed}: {report:?}");
+    }
+    cluster
+        .get_verified(3)
+        .expect("the handle's own client still served");
+    cluster.shutdown();
 }
 
 #[test]
