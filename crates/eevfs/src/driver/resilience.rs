@@ -284,7 +284,7 @@ impl ClusterSim<'_> {
         let Some(e) = self.resilience.0.as_mut() else {
             return;
         };
-        match e.policy.backoff_schedule(req as u64).delay(tries as usize) {
+        match e.policy.backoff_delay(req as u64, tries as usize) {
             Some(backoff) => {
                 e.stats.rpc_retries += 1;
                 self.reqs[req as usize].rpc_tries += 1;
