@@ -285,3 +285,68 @@ fn btree_map_and_tuples() {
         "[\n  1,\n  \"x\",\n  2.5,\n  null\n]",
     );
 }
+
+/// One nested document through every sink call, pinned as the writer
+/// with a runtime pretty flag rendered it: objects with escaped
+/// keys, sequences, empty containers at every depth, floats, negative
+/// integers, booleans and `null`.
+fn document() -> serde::Value {
+    use serde::Value::{Bool, Map, Null, Seq, Str, F64, I64, U64};
+    Map(vec![
+        ("plain".into(), U64(1)),
+        ("tab\tand \"quote\"".into(), Str("back\\slash\u{1}".into())),
+        (
+            "nested".into(),
+            Map(vec![
+                ("empty_map".into(), Map(vec![])),
+                ("empty_seq".into(), Seq(vec![])),
+                (
+                    "mixed".into(),
+                    Seq(vec![
+                        F64(0.1),
+                        F64(-2.5e-7),
+                        F64(1e21),
+                        F64(f64::NAN),
+                        I64(-42),
+                        Null,
+                        Bool(true),
+                        Seq(vec![Seq(vec![]), Map(vec![("é".into(), Bool(false))])]),
+                    ]),
+                ),
+            ]),
+        ),
+        ("".into(), Null),
+    ])
+}
+
+#[test]
+fn nested_document_compact_and_pretty() {
+    check(
+        &document(),
+        r#"{"plain":1,"tab\tand \"quote\"":"back\\slash\u0001","nested":{"empty_map":{},"empty_seq":[],"mixed":[0.1,-0.00000025,1000000000000000000000,null,-42,null,true,[[],{"é":false}]]},"":null}"#,
+        r#"{
+  "plain": 1,
+  "tab\tand \"quote\"": "back\\slash\u0001",
+  "nested": {
+    "empty_map": {},
+    "empty_seq": [],
+    "mixed": [
+      0.1,
+      -0.00000025,
+      1000000000000000000000,
+      null,
+      -42,
+      null,
+      true,
+      [
+        [],
+        {
+          "é": false
+        }
+      ]
+    ]
+  },
+  "": null
+}"#,
+    );
+}
