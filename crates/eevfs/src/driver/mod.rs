@@ -143,6 +143,9 @@ struct ObsState {
     /// In-flight disk operations per node (incremented when a `DiskDone`
     /// is scheduled, decremented when it fires).
     disk_inflight: Vec<u64>,
+    /// Each node's `disk_inflight.n{node}` series name, built once rather
+    /// than on every disk operation.
+    disk_inflight_names: Vec<String>,
 }
 
 /// Live durability state for one run. `None` on non-durable paths, which
@@ -345,7 +348,7 @@ impl ClusterSim<'_> {
             *v = v.saturating_add_signed(delta);
             let depth = *v as f64;
             obs.registry
-                .sample(&format!("disk_inflight.n{node}"), now, depth);
+                .sample(&obs.disk_inflight_names[node], now, depth);
         }
     }
 
@@ -1477,6 +1480,9 @@ fn run_validated(
         sampler: Sampler::new(SimDuration::from_secs(1)),
         outstanding: 0,
         disk_inflight: vec![0; cluster.node_count()],
+        disk_inflight_names: (0..cluster.node_count())
+            .map(|n| format!("disk_inflight.n{n}"))
+            .collect(),
     });
     if obs_state.is_some() {
         for n in &mut nodes {
@@ -2063,6 +2069,7 @@ fn run_validated(
         let points = 120u64;
         let end_us = end.as_micros().max(1);
         for (ni, (spec, n)) in cluster.nodes.iter().zip(&sim.nodes).enumerate() {
+            let name = format!("power_w.n{ni}");
             let energy_at = |t: SimTime| {
                 let mut j = n.buffer_disk.meter().trace().interpolate(t).unwrap_or(0.0);
                 for d in &n.data_disks {
@@ -2081,7 +2088,7 @@ fn run_validated(
                     continue;
                 }
                 let w = (energy_at(t1) - energy_at(t0)) / dt + spec.base_power_w;
-                o.registry.sample(&format!("power_w.n{ni}"), t1, w);
+                o.registry.sample(&name, t1, w);
             }
         }
     }
