@@ -39,14 +39,14 @@ pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
 /// Serialises a value to indented JSON.
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
-    value.serialize(&mut JsonWriter::pretty(&mut out));
+    value.serialize(&mut JsonWriter::<true>::new(&mut out));
     Ok(out)
 }
 
 /// Appends the compact JSON of `value` to `out`: [`to_string`] without a
 /// fresh buffer, for writers that concatenate many documents (JSON Lines).
 pub fn write_compact<T: Serialize + ?Sized>(out: &mut String, value: &T) {
-    value.serialize(&mut JsonWriter::compact(out));
+    value.serialize(&mut JsonWriter::<false>::new(out));
 }
 
 /// Parses JSON and deserialises into `T`.
@@ -67,14 +67,15 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
 /// Spaces per nesting level in pretty output.
 const INDENT: usize = 2;
 
-/// The JSON renderer: a [`Serializer`] that appends compact or indented
-/// JSON text to a `String`.
+/// The JSON renderer: a [`Serializer`] that appends indented JSON text
+/// to a `String` when `PRETTY`, compact text otherwise.
 ///
-/// Its whole state is the nesting depth and two flags, so writing
-/// allocates nothing beyond the output's own growth.
-struct JsonWriter<'a> {
+/// The layout is a type parameter, so the compact writer is compiled
+/// with no indentation branches at all. Its whole state is the nesting
+/// depth and two flags, so writing allocates nothing beyond the output's
+/// own growth.
+struct JsonWriter<'a, const PRETTY: bool> {
     out: &'a mut String,
-    pretty: bool,
     /// Open containers.
     depth: usize,
     /// Nothing has been written yet in the innermost open container.
@@ -83,21 +84,10 @@ struct JsonWriter<'a> {
     after_key: bool,
 }
 
-impl<'a> JsonWriter<'a> {
-    /// A writer producing `to_string`'s single-line form.
-    fn compact(out: &'a mut String) -> Self {
-        Self::new(out, false)
-    }
-
-    /// A writer producing `to_string_pretty`'s indented form.
-    fn pretty(out: &'a mut String) -> Self {
-        Self::new(out, true)
-    }
-
-    fn new(out: &'a mut String, pretty: bool) -> Self {
+impl<'a, const PRETTY: bool> JsonWriter<'a, PRETTY> {
+    fn new(out: &'a mut String) -> Self {
         JsonWriter {
             out,
-            pretty,
             depth: 0,
             first: true,
             after_key: false,
@@ -129,7 +119,7 @@ impl<'a> JsonWriter<'a> {
 
     #[inline(always)]
     fn newline_indent(&mut self) {
-        if self.pretty {
+        if PRETTY {
             self.write_indent();
         }
     }
@@ -150,7 +140,7 @@ impl<'a> JsonWriter<'a> {
     /// the opening quote.
     #[inline(always)]
     fn open_key(&mut self) {
-        if self.pretty {
+        if PRETTY {
             self.element();
             self.out.push('"');
         } else if self.first {
@@ -165,7 +155,7 @@ impl<'a> JsonWriter<'a> {
     #[inline(always)]
     fn close_key(&mut self) {
         self.out.push_str("\":");
-        if self.pretty {
+        if PRETTY {
             self.out.push(' ');
         }
         self.after_key = true;
@@ -195,7 +185,7 @@ impl<'a> JsonWriter<'a> {
 // drive the writer are instantiated in the calling crate, and left to its
 // own judgement the compiler kept these as out-of-line calls there, which
 // cost about a fifth of the JSONL trace export.
-impl Serializer for JsonWriter<'_> {
+impl<const PRETTY: bool> Serializer for JsonWriter<'_, PRETTY> {
     #[inline(always)]
     fn serialize_null(&mut self) {
         self.before_value();
@@ -279,22 +269,46 @@ impl Serializer for JsonWriter<'_> {
     }
 }
 
-/// Appends the decimal digits of `n`, formatted in a stack buffer.
+/// The two-digit decimal text of 0 through 99, back to back.
+static PAIRS: [u8; 200] = {
+    let mut t = [0u8; 200];
+    let mut i = 0;
+    while i < 100 {
+        t[2 * i] = b'0' + (i / 10) as u8;
+        t[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
+    }
+    t
+};
+
+/// Appends the decimal digits of `n`, written back to front straight into
+/// the string's spare capacity, two at a time.
 #[inline(always)]
 fn write_u64(out: &mut String, mut n: u64) {
-    let mut buf = [0u8; 20];
-    let mut i = buf.len();
-    loop {
-        i -= 1;
-        buf[i] = b'0' + (n % 10) as u8;
-        n /= 10;
-        if n == 0 {
-            break;
+    let len = n.checked_ilog10().unwrap_or(0) as usize + 1;
+    out.reserve(len);
+    // SAFETY: `len` bytes of capacity were reserved above, every one of
+    // them is written with an ASCII digit before the length covers it,
+    // and ASCII is valid UTF-8.
+    unsafe {
+        let v = out.as_mut_vec();
+        let start = v.len();
+        let dst = v.as_mut_ptr().add(start);
+        let pairs = PAIRS.as_ptr();
+        let mut i = len;
+        while n >= 100 {
+            let d = (n % 100) as usize * 2;
+            n /= 100;
+            i -= 2;
+            std::ptr::copy_nonoverlapping(pairs.add(d), dst.add(i), 2);
         }
+        if n >= 10 {
+            std::ptr::copy_nonoverlapping(pairs.add(n as usize * 2), dst, 2);
+        } else {
+            *dst = b'0' + n as u8;
+        }
+        v.set_len(start + len);
     }
-    // SAFETY: `buf[i..]` holds only the ASCII digits written above, which
-    // are valid UTF-8. Re-validating them slowed the JSONL export by ~10 %.
-    out.push_str(unsafe { std::str::from_utf8_unchecked(&buf[i..]) });
 }
 
 /// Bytes a JSON string literal cannot hold as themselves: `"`, `\` and
@@ -635,6 +649,24 @@ mod tests {
         write_compact(&mut out, &vec![1u8, 2]);
         write_compact(&mut out, "y");
         assert_eq!(out, r#"x[1,2]"y""#);
+    }
+
+    #[test]
+    fn integers_render_as_their_decimal_text() {
+        let mut n = 1u64;
+        let mut cases = vec![0, u64::MAX];
+        for _ in 0..20 {
+            cases.extend([n - 1, n, n + 1, n.wrapping_mul(7) / 3]);
+            n = n.saturating_mul(10);
+        }
+        for v in cases {
+            assert_eq!(to_string(&v).unwrap(), v.to_string());
+            let neg = -(v as i64 & i64::MAX);
+            assert_eq!(to_string(&neg).unwrap(), neg.to_string());
+        }
+        let mut out = String::from("a");
+        write_compact(&mut out, &[7u64, 10, 99, 100][..]);
+        assert_eq!(out, "a[7,10,99,100]");
     }
 
     #[test]
