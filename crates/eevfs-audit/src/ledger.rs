@@ -506,7 +506,7 @@ mod tests {
     use crate::span::reconstruct_spans;
     use eevfs::config::EevfsConfig;
     use eevfs::driver::{simulate, Scenario};
-    use eevfs_obs::{Recorder, TraceEvent};
+    use eevfs_obs::Recorder;
     use workload::synthetic::{generate, SyntheticSpec};
 
     fn observed_ledger(requests: u32, seed: u64) -> (RunMetrics, EnergyLedger) {
@@ -519,13 +519,13 @@ mod tests {
         let cfg = EevfsConfig::paper_pf(70);
         let scenario = Scenario::new(&cluster, &cfg, &trace);
         let (metrics, report) = simulate(&scenario, Some(Recorder::default())).unwrap();
-        let report = report.unwrap();
-        let events: Vec<TraceEvent> = report.recorder.events().cloned().collect();
-        let spans = reconstruct_spans(&events);
+        let mut report = report.unwrap();
+        let events = report.recorder.as_slice();
+        let spans = reconstruct_spans(events);
         assert_eq!(spans.len() as u32, requests);
         let warmup_us = metrics.prefetch.warmup_us;
         let end_us = warmup_us + (metrics.duration_s * 1e6).round() as u64;
-        let residency = ResidencyTable::from_events(&events, warmup_us, end_us);
+        let residency = ResidencyTable::from_events(events, warmup_us, end_us);
         let model = AttributionModel::from_cluster(&cluster);
         let ledger = build_ledger(&metrics, &spans, &residency, &model);
         (metrics, ledger)

@@ -18,7 +18,7 @@ use eevfs_audit::{
     build_ledger, reconstruct_spans, render_cell_tables, AttributionCell, AttributionModel,
     AuditReport, EnergyLedger, ResidencyTable, REPORT_VERSION,
 };
-use eevfs_obs::{Recorder, TraceEvent};
+use eevfs_obs::Recorder;
 use workload::berkeley::{berkeley_web_trace, BerkeleySpec};
 use workload::synthetic::{generate, SyntheticSpec};
 use workload::Trace;
@@ -86,9 +86,9 @@ fn build_cell(kind: CellKind, p: &SweepParams) -> Result<(AttributionCell, Strin
     let scenario = Scenario::new(&cluster, &cfg, &trace);
     let (metrics, report) =
         simulate(&scenario, Some(Recorder::default())).map_err(|e| format!("cell {name}: {e}"))?;
-    let report = report.expect("a recorder was supplied");
-    let events: Vec<TraceEvent> = report.recorder.events().cloned().collect();
-    let spans = reconstruct_spans(&events);
+    let mut report = report.expect("a recorder was supplied");
+    let events = report.recorder.as_slice();
+    let spans = reconstruct_spans(events);
     if spans.len() as u32 != p.requests {
         return Err(format!(
             "cell {name}: {} spans for {} requests",
@@ -98,7 +98,7 @@ fn build_cell(kind: CellKind, p: &SweepParams) -> Result<(AttributionCell, Strin
     }
     let warmup_us = metrics.prefetch.warmup_us;
     let end_us = warmup_us + (metrics.duration_s * 1e6).round() as u64;
-    let residency = ResidencyTable::from_events(&events, warmup_us, end_us);
+    let residency = ResidencyTable::from_events(events, warmup_us, end_us);
     let model = AttributionModel::from_cluster(&cluster);
     let ledger: EnergyLedger = build_ledger(&metrics, &spans, &residency, &model);
     ledger

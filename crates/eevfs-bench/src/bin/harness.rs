@@ -681,7 +681,7 @@ fn main() -> ExitCode {
         "trace" => {
             use eevfs::config::{ClusterSpec, EevfsConfig};
             use eevfs::driver::{simulate, Scenario};
-            use eevfs_obs::{Recorder, TraceEvent};
+            use eevfs_obs::Recorder;
             use workload::synthetic::{generate, SyntheticSpec};
             let trace = generate(&SyntheticSpec {
                 requests: p.requests,
@@ -693,8 +693,8 @@ fn main() -> ExitCode {
             let scenario = Scenario::new(&cluster, &cfg, &trace);
             let (metrics, report) =
                 simulate(&scenario, Some(Recorder::default())).unwrap_or_else(|e| panic!("{e}"));
-            let report = report.expect("a recorder was supplied");
-            let events: Vec<TraceEvent> = report.recorder.events().cloned().collect();
+            let mut report = report.expect("a recorder was supplied");
+            let events = report.recorder.as_slice();
             let end_us = events.last().map(|e| e.at_us).unwrap_or(0);
             println!(
                 "# observed PF(70) run: {} requests, seed {}, {} trace events",
@@ -702,7 +702,7 @@ fn main() -> ExitCode {
                 p.seed,
                 events.len()
             );
-            println!("{}", eevfs_obs::render_power_timeline(&events, end_us, 72));
+            println!("{}", eevfs_obs::render_power_timeline(events, end_us, 72));
             println!("{}", report.registry.render_scalars());
             let pred = &metrics.prediction;
             println!(

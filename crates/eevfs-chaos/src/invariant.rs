@@ -538,7 +538,7 @@ impl Invariant for LedgerClosure {
     }
     fn check(&self, cx: &CheckContext<'_>) -> Result<(), String> {
         use crate::exec::{execute_observed, ObservedOutcome};
-        let (metrics, report) = match execute_observed(cx.schedule) {
+        let (metrics, mut report) = match execute_observed(cx.schedule) {
             ObservedOutcome::Done(m, r) => (m, r),
             ObservedOutcome::Rejected(e) => {
                 return Err(format!("observed re-run rejected: {e}"));
@@ -552,8 +552,8 @@ impl Invariant for LedgerClosure {
         if plain != observed {
             return Err("attaching the recorder changed the metrics".to_string());
         }
-        let events: Vec<_> = report.recorder.events().cloned().collect();
-        let spans = eevfs_audit::reconstruct_spans(&events);
+        let events = report.recorder.as_slice();
+        let spans = eevfs_audit::reconstruct_spans(events);
         if spans.len() as u32 != cx.schedule.requests {
             return Err(format!(
                 "span reconstructor lost requests: {} spans for {} requests",
@@ -563,7 +563,7 @@ impl Invariant for LedgerClosure {
         }
         let warmup_us = metrics.prefetch.warmup_us;
         let end_us = warmup_us + (metrics.duration_s * 1e6).round() as u64;
-        let residency = eevfs_audit::ResidencyTable::from_events(&events, warmup_us, end_us);
+        let residency = eevfs_audit::ResidencyTable::from_events(events, warmup_us, end_us);
         let model = eevfs_audit::AttributionModel::from_cluster(
             &eevfs::config::ClusterSpec::paper_testbed(),
         );

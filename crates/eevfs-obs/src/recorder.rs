@@ -23,6 +23,9 @@ use crate::event::{Category, EventKind, Severity, TraceEvent};
 use sim_core::SimTime;
 use std::collections::VecDeque;
 
+/// Most events [`Recorder::with_capacity`] reserves room for up front.
+const RESERVE_CAP: usize = 1 << 22;
+
 /// Bounded, filtering trace-event sink.
 #[derive(Debug, Clone)]
 pub struct Recorder {
@@ -38,10 +41,15 @@ pub struct Recorder {
 impl Recorder {
     /// A recorder holding at most `capacity` events (oldest evicted first),
     /// admitting every severity and category.
+    ///
+    /// The ring is reserved up front, up to 2²² events, rather
+    /// than grown by doubling; only the pages events are written to become
+    /// resident.
     pub fn with_capacity(capacity: usize) -> Self {
+        let capacity = capacity.max(1);
         Recorder {
-            events: VecDeque::new(),
-            capacity: capacity.max(1),
+            events: VecDeque::with_capacity(capacity.min(RESERVE_CAP)),
+            capacity,
             next_seq: 0,
             min_severity: Severity::Debug,
             mask: [true; Category::COUNT],
@@ -98,6 +106,14 @@ impl Recorder {
     /// The buffered events, oldest first.
     pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
         self.events.iter()
+    }
+
+    /// The buffered events as one slice, oldest first, for folds that
+    /// take `&[TraceEvent]` without copying the trace. Rotates the ring
+    /// into one run if it wraps; after [`Recorder::sort_by_time`] it
+    /// already is one.
+    pub fn as_slice(&mut self) -> &[TraceEvent] {
+        self.events.make_contiguous()
     }
 
     /// Number of buffered events.

@@ -27,7 +27,7 @@ proptest! {
         let schedule = generate_schedule(&SeverityEnvelope::default_search(), seed, index);
         let observed = execute_observed(&schedule);
         let plain = execute(&schedule);
-        let (metrics, report) = match (observed, plain) {
+        let (metrics, mut report) = match (observed, plain) {
             (ObservedOutcome::Done(m, r), RunOutcome::Done(p)) => {
                 // Passivity: the recorder must not perturb the run.
                 let a = serde_json::to_string(&*m).expect("serialize");
@@ -43,15 +43,15 @@ proptest! {
                 return Err(format!("observed/plain outcomes diverged: {o:?} vs {p:?}"))
             }
         };
-        let events: Vec<_> = report.recorder.events().cloned().collect();
-        let spans = reconstruct_spans(&events);
+        let events = report.recorder.as_slice();
+        let spans = reconstruct_spans(events);
         prop_assert_eq!(
             spans.len() as u32, schedule.requests,
             "span reconstructor lost requests"
         );
         let warmup_us = metrics.prefetch.warmup_us;
         let end_us = warmup_us + (metrics.duration_s * 1e6).round() as u64;
-        let residency = ResidencyTable::from_events(&events, warmup_us, end_us);
+        let residency = ResidencyTable::from_events(events, warmup_us, end_us);
         let model = AttributionModel::from_cluster(
             &eevfs::config::ClusterSpec::paper_testbed(),
         );
