@@ -208,7 +208,7 @@ pub fn reconstruct_spans(events: &[TraceEvent]) -> Vec<RequestSpan> {
         .into_iter()
         .filter_map(|(req, b)| {
             let arrive = b.arrive_us?;
-            let total = b.complete_us.map(|c| c - arrive).unwrap_or(0);
+            let total = b.complete_us.map(|c| c.saturating_sub(arrive)).unwrap_or(0);
             let queue = b.queued_us.map(|q| q.saturating_sub(arrive)).unwrap_or(0);
             let first_disk = b.spinup_us_at.or(b.serve_us_at);
             let dispatch = match (b.queued_us, first_disk) {
@@ -500,6 +500,33 @@ mod tests {
     }
 
     #[test]
+    fn completion_stamped_before_arrival_reads_zero_total() {
+        let events = vec![
+            ev(
+                5,
+                EventKind::RequestComplete {
+                    req: 1,
+                    response_us: 0,
+                },
+            ),
+            ev(
+                10,
+                EventKind::RequestArrive {
+                    req: 1,
+                    file: 2,
+                    write: false,
+                    bytes: 10,
+                },
+            ),
+        ];
+        let spans = reconstruct_spans(&events);
+        assert_eq!(spans.len(), 1);
+        assert_eq!(spans[0].complete_us, Some(5));
+        assert_eq!(spans[0].total_us, 0);
+        assert_eq!(spans[0].segments_sum(), 0);
+    }
+
+    #[test]
     fn residency_integrates_and_clips_to_window() {
         use PowerState::*;
         let events = vec![
@@ -649,7 +676,7 @@ mod tests {
             .into_iter()
             .filter_map(|(req, b)| {
                 let arrive = b.arrive_us?;
-                let total = b.complete_us.map(|c| c - arrive).unwrap_or(0);
+                let total = b.complete_us.map(|c| c.saturating_sub(arrive)).unwrap_or(0);
                 let queue = b.queued_us.map(|q| q.saturating_sub(arrive)).unwrap_or(0);
                 let first_disk = b.spinup_us_at.or(b.serve_us_at);
                 let dispatch = match (b.queued_us, first_disk) {

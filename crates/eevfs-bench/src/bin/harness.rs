@@ -257,10 +257,7 @@ fn run_load(args: &Args, runner: &Runner) -> ExitCode {
         runtime,
     };
     print!("{}", render_load_report(&snapshot));
-    println!(
-        "serial vs --jobs {} byte-identical: {byte_identical}",
-        runner.jobs()
-    );
+    println!("serial vs parallel byte-identical: {byte_identical}");
 
     let path = args.json_path.as_deref().unwrap_or("BENCH_runtime.json");
     match serde_json::to_string_pretty(&snapshot) {
@@ -484,10 +481,7 @@ fn run_report(args: &Args, runner: &Runner) -> ExitCode {
     };
     let byte_identical = serial_json == parallel_json;
     print!("{tables}");
-    println!(
-        "serial vs --jobs {} byte-identical: {byte_identical}",
-        runner.jobs()
-    );
+    println!("serial vs parallel byte-identical: {byte_identical}");
     let path = args.json_path.as_deref().unwrap_or("REPORT_sim.json");
     if let Err(e) = std::fs::write(path, &serial_json) {
         eprintln!("error writing {path}: {e}");
@@ -871,10 +865,7 @@ fn main() -> ExitCode {
                 "adaptive predictor beats fixed (energy, ≤ response): {}",
                 adaptive_beats_fixed(&serial_pts)
             );
-            println!(
-                "serial vs --jobs {} byte-identical: {byte_identical}",
-                runner.jobs()
-            );
+            println!("serial vs parallel byte-identical: {byte_identical}");
 
             let path = args.json_path.as_deref().unwrap_or("POWER_sim.json");
             match serde_json::to_string_pretty(&serial_pts) {

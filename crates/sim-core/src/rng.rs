@@ -1,12 +1,16 @@
 //! Seeded randomness and the distributions the EEVFS workloads need.
 //!
 //! The paper's synthetic traces draw file indices from a Poisson
-//! distribution whose mean ("the MU value") runs from 1 to 1000, so the
-//! Poisson sampler must stay numerically sound for large means — the
-//! classic Knuth product-of-uniforms method underflows `exp(-mu)` around
-//! `mu > 700`. We instead count unit-rate exponential arrivals until their
-//! sum exceeds `mu`, which is exact for any mean and costs `O(mu)` draws,
-//! cheap at trace-generation scale.
+//! distribution whose mean ("the MU value") runs from 1 to 1000. The
+//! variate is defined by counting unit-rate exponential arrivals: it is
+//! the number of terms `-ln(1 - u_j)` whose sequential `f64` sum stays at
+//! or below `mu`. That definition never forms `exp(-mu)`, so it stays
+//! sound where Knuth's product-of-uniforms method underflows
+//! (`mu > ~708`). Summing it directly costs one `ln` per unit of mean,
+//! which made trace generation the slowest stage of a MU = 1000 run, so
+//! [`SimRng::poisson`] decides the same count from a rescaled running
+//! product of the uniforms and sums only when the product cannot decide.
+//! Every variate, and the stream state it leaves, is the summing loop's.
 //!
 //! A hand-rolled Zipf sampler (inverse-CDF over a precomputed table) backs
 //! the Berkeley-web-trace substitute, whose defining property in the paper
@@ -14,6 +18,52 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
+
+/// Largest mean [`SimRng::poisson`] decides by the product; [`MARGIN`] is
+/// sized for means up to this.
+const FAST_MU_CAP: f64 = 1e4;
+
+/// Uniforms after which the product gives the decision to the summing
+/// loop; [`MARGIN`] is sized for counts up to this. A Poisson(10⁴) count
+/// exceeds it with probability below 10⁻¹⁰⁰⁰.
+const FAST_MAX_DRAWS: u64 = 30_000;
+
+/// Half-width, in units of the exponential sum, of the band around `mu`
+/// where the product defers to the summing loop.
+///
+/// It must exceed every gap between what the two computations say about
+/// the exact sum `S_n = Σ -ln v_j = -ln Π v_j`: the summing loop's `f64`
+/// sum `Ŝ_n` on one side, the rescaled product, the budget and the
+/// thresholds on the other. With
+/// `u = 2⁻⁵³`, `mu ≤ FAST_MU_CAP = 10⁴`, `n ≤ FAST_MAX_DRAWS = 3·10⁴`
+/// draws, `r ≤ 29` rescales, and every sum compared below
+/// `mu + 53 ln 2 < 10⁴ + 37` (one term is at most `-ln 2⁻⁵³`):
+///
+/// - sequential summation of `n` nonnegative terms:
+///   `≤ 1.01·n·u·Σe_j ≤ 1.01 · 3·10⁴ · 2⁻⁵³ · 10037 ≈ 3.4e-8`;
+/// - libm `ln`, allowing 4 ulp per term:
+///   `≤ 2⁻⁵⁰ · 10037 ≈ 8.9e-12`;
+/// - the product, one rounding per multiply (the `v_j` and the 2⁵¹²
+///   rescales are exact): `≤ 1.01·n·u ≈ 3.4e-12`;
+/// - the budget `rem`, one rounded `512 ln 2` and one rounded subtraction
+///   per rescale: `≤ r·u·(355 + mu) ≈ 3.4e-11`;
+/// - the thresholds: the argument `rem ∓ MARGIN` rounds once and libm
+///   `exp`, allowing 4 ulp, adds `2⁻⁵⁰` relative. Only a threshold above
+///   2⁻⁵⁶⁵, the product's floor, can be crossed, so its argument is below
+///   392: `≤ 392·u + 2⁻⁵⁰ ≈ 4.4e-14`. A lower (even subnormal or zero)
+///   threshold is never crossed, and the product it was not crossed by is
+///   already above `exp(-392)`.
+///
+/// The sum is about `3.4e-8`; `1e-6` leaves a factor of about 30, and
+/// costs a redraw by the summing loop in roughly one variate in 10⁵.
+const MARGIN: f64 = 1e-6;
+
+/// 2⁻⁵¹²: the running product is rescaled when it falls below this.
+const RESCALE_FLOOR: f64 = f64::from_bits((1023 - 512) << 52);
+/// 2⁵¹².
+const RESCALE: f64 = f64::from_bits((1023 + 512) << 52);
+/// `ln 2⁵¹²`, taken off the budget at each rescale.
+const RESCALE_LN: f64 = 512.0 * std::f64::consts::LN_2;
 
 /// Deterministic simulation RNG. All workload randomness flows from one of
 /// these, seeded from the experiment config, so runs are reproducible.
@@ -68,14 +118,45 @@ impl SimRng {
 
     /// Poisson variate with mean `mu >= 0`.
     ///
-    /// Counts unit-rate exponential inter-arrivals until the running sum
-    /// passes `mu`. Exact for all `mu` (no `exp(-mu)` underflow) and costs
-    /// `O(mu)` uniform draws.
+    /// Returns the number of unit-rate exponential inter-arrivals
+    /// `-ln(1 - u_j)` whose sequential `f64` sum stays at or below `mu`
+    /// (the private summing loop `poisson_by_sum` defines it), and leaves
+    /// the stream exactly where that loop leaves it.
+    ///
+    /// Cost: the count is decided from the running product of
+    /// `v_j = 1 - u_j`, one multiply per uniform, with two `exp` calls per
+    /// variate plus one for every `512 ln 2 ≈ 355` units of `mu`; no `ln`.
+    /// About one variate in a hundred thousand lands where the product
+    /// cannot decide, and is redrawn by the summing loop from a copy of the
+    /// entry state. Means above 10⁴ always take the summing loop, because
+    /// the rounding bound grows with `mu²`.
+    ///
+    /// Exactness: the product stops at the first `n` whose product falls
+    /// below `exp(-(mu - MARGIN))`; the product at `n - 1` did not, which
+    /// proves the sum had not passed `mu` there. If the product at `n` is
+    /// also below `exp(-(mu + MARGIN))`, the sum passes `mu` at `n`, and
+    /// `n - 1` is the summing loop's answer. `MARGIN = 1e-6` dominates every
+    /// rounding error between the two computations; the bound is written
+    /// out beside the constant.
     pub fn poisson(&mut self, mu: f64) -> u64 {
         assert!(mu >= 0.0 && mu.is_finite(), "bad poisson mean {mu}");
         if mu == 0.0 {
             return 0;
         }
+        if mu <= FAST_MU_CAP {
+            let entry = self.inner.clone();
+            if let Some(k) = self.poisson_by_product(mu) {
+                return k;
+            }
+            self.inner = entry;
+        }
+        self.poisson_by_sum(mu)
+    }
+
+    /// The definition of [`SimRng::poisson`]: counts unit-rate exponential
+    /// inter-arrivals until their running sum passes `mu` (`mu > 0`). One
+    /// `ln` per uniform drawn.
+    fn poisson_by_sum(&mut self, mu: f64) -> u64 {
         let mut sum = 0.0f64;
         let mut k = 0u64;
         loop {
@@ -85,6 +166,41 @@ impl SimRng {
             }
             k += 1;
         }
+    }
+
+    /// Decides [`SimRng::poisson_by_sum`]'s answer from the running product
+    /// of the same uniforms, or returns `None` (with the stream advanced)
+    /// when the product lands within [`MARGIN`] of the crossing or more
+    /// than [`FAST_MAX_DRAWS`] uniforms were needed. Needs
+    /// `0 < mu <= FAST_MU_CAP`.
+    ///
+    /// `1 - u` is exact (a uniform is a multiple of 2⁻⁵³), so the product
+    /// carries only one rounding per multiply. Whenever it falls below
+    /// 2⁻⁵¹² it is scaled back up by 2⁵¹², exactly, and `512 ln 2` comes
+    /// off the remaining budget `rem`, so it never leaves the normal range
+    /// (it stays above 2⁻⁵⁶⁵).
+    fn poisson_by_product(&mut self, mu: f64) -> Option<u64> {
+        let mut rem = mu;
+        // exp(-(rem - MARGIN)). While rem is too large to be spent before
+        // the next rescale this lies below the product's floor of 2⁻⁵⁶⁵
+        // (it is subnormal or 0 from rem ≈ 708 on) and never stops it.
+        let mut hi = (MARGIN - rem).exp();
+        let mut p = 1.0f64;
+        let mut n = 0u64;
+        loop {
+            p *= 1.0 - self.uniform();
+            n += 1;
+            if p < hi {
+                break;
+            }
+            if p < RESCALE_FLOOR {
+                p *= RESCALE;
+                rem -= RESCALE_LN;
+                hi = (MARGIN - rem).exp();
+            }
+        }
+        let lo = (-(rem + MARGIN)).exp();
+        (n <= FAST_MAX_DRAWS && p < lo).then(|| n - 1)
     }
 
     /// Standard normal variate (Box–Muller, one value per call).
@@ -190,6 +306,7 @@ impl Zipf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn same_seed_same_stream() {
@@ -251,6 +368,70 @@ mod tests {
             (var - 1000.0).abs() < 150.0,
             "poisson(1000) sample var {var}"
         );
+    }
+
+    /// Means where the sampler changes regime: below `MARGIN`, where `exp`
+    /// turns subnormal (708–710) and underflows (745), the paper's 1000,
+    /// and both sides of the cap.
+    const MU_EDGES: [f64; 18] = [
+        0.0,
+        1e-9,
+        0.5,
+        1.0,
+        4.0,
+        10.0,
+        100.0,
+        700.0,
+        708.0,
+        709.0,
+        709.8,
+        710.0,
+        745.0,
+        1000.0,
+        5000.0,
+        FAST_MU_CAP - 1.0,
+        FAST_MU_CAP,
+        FAST_MU_CAP + 1.0,
+    ];
+
+    proptest! {
+        #[test]
+        fn poisson_equals_its_summing_definition(
+            seed in any::<u64>(),
+            mu in prop_oneof![
+                (0..MU_EDGES.len()).prop_map(|i| MU_EDGES[i]),
+                0.0f64..FAST_MU_CAP,
+            ],
+        ) {
+            let mut fast = SimRng::seed_from_u64(seed);
+            let mut reference = fast.clone();
+            for _ in 0..4 {
+                let want = if mu == 0.0 { 0 } else { reference.poisson_by_sum(mu) };
+                prop_assert_eq!(fast.poisson(mu), want, "mu {}, seed {}", mu, seed);
+            }
+            prop_assert_eq!(fast.next_u64(), reference.next_u64(), "mu {}, seed {}", mu, seed);
+        }
+    }
+
+    #[test]
+    fn poisson_redraws_by_sum_when_the_product_cannot_decide() {
+        for (seed, k) in [(1u64, 1usize), (2, 10), (3, 100), (4, 1000), (5, 9000)] {
+            let rng = SimRng::seed_from_u64(seed);
+            // mu is the summing loop's own partial sum after k terms, so
+            // the crossing sits inside the product's undecided band.
+            let mut probe = rng.clone();
+            let mu: f64 = (0..k).map(|_| probe.exponential(1.0)).sum();
+            assert!(mu > 0.0 && mu <= FAST_MU_CAP, "seed {seed}, k {k}: mu {mu}");
+            assert_eq!(
+                rng.clone().poisson_by_product(mu),
+                None,
+                "seed {seed}, k {k}: the product decided a sum that ties mu"
+            );
+            let mut fast = rng.clone();
+            let mut reference = rng;
+            assert_eq!(fast.poisson(mu), reference.poisson_by_sum(mu));
+            assert_eq!(fast.next_u64(), reference.next_u64());
+        }
     }
 
     #[test]
