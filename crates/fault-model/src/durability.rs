@@ -197,14 +197,20 @@ impl CorruptionPlan {
         self.events.len()
     }
 
-    /// Events that target nodes or disks outside the given cluster shape.
-    pub fn out_of_range(&self, nodes: u32, disks_per_node: u32) -> Vec<CorruptionEvent> {
+    /// Events that target nodes, disks or blocks outside the given cluster
+    /// shape and per-disk block address space.
+    pub fn out_of_range(
+        &self,
+        nodes: u32,
+        disks_per_node: u32,
+        blocks_per_disk: u32,
+    ) -> Vec<CorruptionEvent> {
         self.events
             .iter()
             .copied()
             .filter(|e| {
-                let (node, disk, _) = e.kind.coordinate();
-                node >= nodes || disk >= disks_per_node
+                let (node, disk, block) = e.kind.coordinate();
+                node >= nodes || disk >= disks_per_node || block >= blocks_per_disk
             })
             .collect()
     }
@@ -517,8 +523,9 @@ mod tests {
         for w in plan.events().windows(2) {
             assert!(w[0].at <= w[1].at);
         }
-        assert!(plan.out_of_range(4, 2).is_empty());
-        assert!(!plan.out_of_range(1, 1).is_empty());
+        assert!(plan.out_of_range(4, 2, 1024).is_empty());
+        assert!(!plan.out_of_range(1, 1, 1024).is_empty());
+        assert!(!plan.out_of_range(4, 2, 1).is_empty());
         for e in plan.events() {
             let (_, _, block) = e.kind.coordinate();
             assert!(block < 1024);
