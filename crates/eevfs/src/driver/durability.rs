@@ -207,7 +207,7 @@ impl ClusterSim<'_> {
             dur.stats.scrubbed_blocks += len as u64;
             let spec = self.nodes[node].data_disks[disk].spec();
             dur.scrub_energy_j += marginal_transfer_j(spec, len as u64 * BLOCK_SIZE);
-            self.obs_event(
+            self.obs.event(
                 now,
                 EventKind::ScrubPass {
                     node: node as u32,
@@ -258,7 +258,7 @@ impl ClusterSim<'_> {
         dur.scrub_energy_j += joules;
         dur.stats.repaired_blocks += u64::from(repaired);
         dur.stats.unrecoverable_blocks += u64::from(!repaired);
-        self.obs_event(
+        self.obs.event(
             now,
             EventKind::CorruptionDetected {
                 node: node as u32,
@@ -285,7 +285,7 @@ impl ClusterSim<'_> {
                 .buffer_disk
                 .submit(now, bytes, AccessKind::Sequential);
         }
-        self.obs_event(
+        self.obs.event(
             now,
             EventKind::JournalReplay {
                 node: node as u32,
@@ -293,6 +293,7 @@ impl ClusterSim<'_> {
                 bytes,
             },
         );
-        self.obs_event(now, EventKind::NodeRestart { node: node as u32 });
+        self.obs
+            .event(now, EventKind::NodeRestart { node: node as u32 });
     }
 }
