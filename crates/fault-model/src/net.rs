@@ -254,10 +254,10 @@ impl NetFaultInjector {
         NetFaultInjector::new(LinkFaultProfile::none(), NetFaultPlan::none(), links)
     }
 
-    /// Applies every scheduled event with `at <= now`, returning them in
-    /// order so the caller can surface them (stats, logs).
-    pub fn apply_until(&mut self, now: SimTime) -> Vec<NetFaultEvent> {
-        let mut fired = Vec::new();
+    /// Applies every scheduled event with `at <= now`, returning how many
+    /// it applied.
+    pub fn apply_until(&mut self, now: SimTime) -> usize {
+        let mut fired = 0;
         while let Some(&ev) = self.plan.events.get(self.cursor) {
             if ev.at > now {
                 break;
@@ -267,7 +267,7 @@ impl NetFaultInjector {
                 NetFaultKind::LinkDown { link } => self.set_link(link as usize, false),
                 NetFaultKind::LinkUp { link } => self.set_link(link as usize, true),
             }
-            fired.push(ev);
+            fired += 1;
         }
         fired
     }
@@ -380,7 +380,7 @@ mod tests {
             NetFaultPlan::partition_window(1, SimTime::from_secs(10), SimTime::from_secs(20));
         let mut inj = NetFaultInjector::new(LinkFaultProfile::none(), plan, 2);
         assert!(inj.link_ok(1));
-        assert_eq!(inj.apply_until(SimTime::from_secs(10)).len(), 1);
+        assert_eq!(inj.apply_until(SimTime::from_secs(10)), 1);
         assert!(!inj.link_ok(1));
         assert_eq!(inj.decide(1), LinkDecision::Drop);
         assert_eq!(inj.decide(0), LinkDecision::Deliver);
