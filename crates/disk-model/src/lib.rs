@@ -21,6 +21,7 @@
 //!   durability layer (detection on read, opportunistic scrubbing).
 
 #![warn(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod breakeven;
 pub mod checksum;
