@@ -24,33 +24,40 @@ use std::path::{Path, PathBuf};
 /// Every byte is a function of `(id, offset)`, so a flipped block anywhere
 /// in the pipeline fails verification.
 pub fn file_pattern(id: u32, size: u64) -> Vec<u8> {
-    let mut out = Vec::with_capacity(size as usize);
+    let mut out = Vec::new();
     fill_pattern(id, size, &mut out);
     out
 }
 
-/// [`file_pattern`] into a caller's buffer, cleared first.
-fn fill_pattern(id: u32, size: u64, out: &mut Vec<u8>) {
-    out.clear();
+/// The pattern of file `id` as little-endian xorshift64* words, without
+/// end: byte `i` of the file is byte `i % 8` of word `i / 8`.
+fn pattern_words(id: u32) -> impl Iterator<Item = [u8; 8]> {
     let mut state = (id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-    while (out.len() as u64) < size {
-        // xorshift64*
+    std::iter::from_fn(move || {
         state ^= state >> 12;
         state ^= state << 25;
         state ^= state >> 27;
-        let word = state.wrapping_mul(0x2545_F491_4F6C_DD1D);
-        for b in word.to_le_bytes() {
-            if (out.len() as u64) == size {
-                break;
-            }
-            out.push(b);
-        }
-    }
+        Some(state.wrapping_mul(0x2545_F491_4F6C_DD1D).to_le_bytes())
+    })
 }
 
-/// Verifies contents against [`file_pattern`].
+/// [`file_pattern`] into a caller's buffer, cleared first: whole words,
+/// then the last one cut back to `size`.
+fn fill_pattern(id: u32, size: u64, out: &mut Vec<u8>) {
+    let len = size as usize;
+    out.clear();
+    out.reserve(len.next_multiple_of(8));
+    for word in pattern_words(id).take(len.div_ceil(8)) {
+        out.extend_from_slice(&word);
+    }
+    out.truncate(len);
+}
+
+/// Verifies contents against [`file_pattern`], one word at a time.
 pub fn verify_pattern(id: u32, data: &[u8]) -> bool {
-    file_pattern(id, data.len() as u64) == data
+    data.chunks(8)
+        .zip(pattern_words(id))
+        .all(|(got, want)| *got == want[..got.len()])
 }
 
 /// Storage layout of one node.
@@ -269,6 +276,49 @@ mod tests {
         assert!(!verify_pattern(1, &corrupted));
     }
 
+    /// The one-byte-per-step generator the word-at-a-time fill replaced:
+    /// every pattern must equal its output byte for byte.
+    fn bytewise_pattern(id: u32, size: u64) -> Vec<u8> {
+        let mut out = Vec::new();
+        let mut state = (id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        while (out.len() as u64) < size {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            let word = state.wrapping_mul(0x2545_F491_4F6C_DD1D);
+            for b in word.to_le_bytes() {
+                if (out.len() as u64) == size {
+                    break;
+                }
+                out.push(b);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn word_pattern_equals_the_bytewise_one() {
+        const MIB: u64 = 1 << 20;
+        let lengths = (0..=64)
+            .chain([MIB])
+            .chain((1..=7).flat_map(|d| [MIB - d, MIB + d]));
+        let mut reused = file_pattern(9, MIB + 7);
+        for len in lengths {
+            for id in [0, 1, 63] {
+                let want = bytewise_pattern(id, len);
+                assert_eq!(file_pattern(id, len), want, "id {id} len {len}");
+                fill_pattern(id, len, &mut reused);
+                assert_eq!(reused, want, "reused buffer, id {id} len {len}");
+                assert!(verify_pattern(id, &want), "id {id} len {len}");
+                if let Some(last) = len.checked_sub(1) {
+                    let mut bad = want.clone();
+                    bad[last as usize] ^= 1;
+                    assert!(!verify_pattern(id, &bad), "id {id} len {len}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn pattern_lengths_exact() {
         for len in [0u64, 1, 7, 8, 9, 1000] {
@@ -331,6 +381,30 @@ mod tests {
         let payload = file_pattern(5, 2048);
         store.write_data(0, 5, &payload)?;
         assert_eq!(store.read_data(0, 5)?, payload);
+        let _ = fs::remove_dir_all(store.root());
+        Ok(())
+    }
+
+    /// One flipped byte in the first 64-byte lane, in the middle, and in
+    /// the final tail of fewer than 16 bytes of a 1 MiB + 5 B file: each
+    /// part of the checksum kernel sees it.
+    #[test]
+    fn a_flip_anywhere_in_a_large_file_is_detected() -> io::Result<()> {
+        const LEN: u64 = (1 << 20) + 5;
+        let store = FileStore::create(tmp(), 1)?;
+        store.create_file(0, 8, LEN)?;
+        let mut buf = Vec::new();
+        for offset in [3, LEN / 2 + 7, LEN - 2] {
+            store.corrupt_data(0, 8, offset)?;
+            expect_invalid(
+                store.read_data_into(0, 8, &mut buf),
+                &format!("read with byte {offset} flipped"),
+            )?;
+            // A second flip restores the byte.
+            store.corrupt_data(0, 8, offset)?;
+            store.read_data_into(0, 8, &mut buf)?;
+            assert!(verify_pattern(8, &buf));
+        }
         let _ = fs::remove_dir_all(store.root());
         Ok(())
     }
