@@ -97,6 +97,12 @@ impl PredictionTracker {
         &self.samples
     }
 
+    /// The closed samples by value, in close order, dropping any window
+    /// still open.
+    pub fn into_samples(self) -> Vec<PredictionSample> {
+        self.samples
+    }
+
     /// Aggregates the closed samples.
     pub fn summary(&self) -> PredictionSummary {
         let mut s = PredictionSummary::default();
@@ -190,6 +196,7 @@ mod tests {
         assert_eq!(closed.len(), 2);
         assert_eq!(t.samples().len(), 2);
         assert!(closed.iter().all(PredictionSample::paid_off));
+        assert_eq!(t.into_samples(), closed);
     }
 
     #[test]

@@ -1619,7 +1619,7 @@ fn run_validated(
     };
     let report = sim
         .obs
-        .finish(scenario, &sim.nodes, end, &metrics, sim.pred.samples());
+        .finish(scenario, &sim.nodes, end, &metrics, sim.pred.into_samples());
     (metrics, report)
 }
 

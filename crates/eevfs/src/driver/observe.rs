@@ -114,7 +114,7 @@ impl ObsPlane {
         nodes: &[NodeState],
         end: SimTime,
         metrics: &RunMetrics,
-        samples: &[PredictionSample],
+        samples: Vec<PredictionSample>,
     ) -> Option<ObsReport> {
         let Engaged {
             mut rec,
@@ -196,7 +196,7 @@ impl ObsPlane {
         Some(ObsReport {
             recorder: rec,
             registry,
-            samples: samples.to_vec(),
+            samples,
             energy_curve,
         })
     }
