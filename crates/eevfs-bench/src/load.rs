@@ -17,9 +17,10 @@
 
 use crate::runner::Runner;
 use crate::sweeps::SweepParams;
-use eevfs::config::{ArrivalMode, ClusterSpec, EevfsConfig, OverloadConfig};
+use eevfs::config::{ArrivalMode, ClusterSpec, EevfsConfig};
 use eevfs::driver::run_cluster;
 use eevfs::metrics::{OverloadStats, RunMetrics};
+use eevfs::overload::OverloadOptions;
 use serde::{Deserialize, Serialize};
 use sim_core::SimDuration;
 use workload::synthetic::{generate, SizeDist, SyntheticSpec};
@@ -170,7 +171,7 @@ pub fn run_load_grid(runner: &Runner, p: &SweepParams) -> Vec<LoadPoint> {
         let mut cfg = EevfsConfig::paper_pf(70);
         cfg.arrival = ArrivalMode::ClosedLoop { streams };
         if gated {
-            cfg.overload = Some(OverloadConfig::bounded(GRID_MAX_INFLIGHT));
+            cfg.overload = Some(OverloadOptions::bounded(GRID_MAX_INFLIGHT as usize));
         }
         let m = run_cluster(&cluster, &cfg, &trace);
         let label = format!(
@@ -336,7 +337,8 @@ pub const RUNTIME_MAX_INFLIGHT: usize = 2;
 /// Wall-clock numbers are measurements, not replays — only the ledgers
 /// are deterministic.
 pub fn run_runtime_campaign(requests_per_client: usize) -> Result<Vec<RuntimePoint>, String> {
-    use eevfs_runtime::{loadgen, ClusterHandle, LoadConfig, OverloadOptions, RuntimeConfig};
+    use eevfs::overload::OverloadOptions;
+    use eevfs_runtime::{loadgen, ClusterHandle, LoadConfig, RuntimeConfig};
 
     let trace = generate(&SyntheticSpec {
         files: 16,

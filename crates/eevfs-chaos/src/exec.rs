@@ -13,6 +13,7 @@
 use crate::schedule::{ChaosSchedule, BLOCKS_PER_DISK};
 use eevfs::config::{ClusterSpec, EevfsConfig};
 use eevfs::driver::{simulate, DurabilitySetup, ObsReport, ResilienceSetup, Scenario};
+use eevfs::overload::OverloadOptions;
 use eevfs::scrub::ScrubPolicy;
 use eevfs::RunMetrics;
 use eevfs_obs::Recorder;
@@ -106,7 +107,7 @@ fn run(
     });
     let cluster = ClusterSpec::paper_testbed();
     let mut cfg = EevfsConfig::paper_pf_replicated(70, s.replication);
-    cfg.overload = s.overload.map(eevfs::config::OverloadConfig::bounded);
+    cfg.overload = s.overload.map(|n| OverloadOptions::bounded(n as usize));
     let plans = s
         .plans()
         .map_err(|e| Failure::Rejected(format!("bad schedule: {e}")))?;

@@ -55,7 +55,7 @@ pub struct ChaosSchedule {
     /// RPC policy: 0 = no-retry, 1 = retrying, 2 = retrying + hedged.
     pub policy_kind: u8,
     /// Bounded-admission gate: `Some(max_inflight)` runs the scenario
-    /// behind the overload control plane (`OverloadConfig::bounded`),
+    /// behind the overload control plane (`OverloadOptions::bounded`),
     /// `None` keeps the legacy unbounded server queue. Defaults to
     /// `None` so pre-overload reproducer artifacts still parse.
     #[serde(default)]

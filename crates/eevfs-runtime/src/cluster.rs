@@ -111,7 +111,7 @@ pub enum GetOutcome {
     },
     /// The control plane shed the request; do not retry it as-is.
     Shed {
-        /// Shed reason ([`crate::admission::shed_code`]).
+        /// Shed reason ([`eevfs::overload::shed_code`]).
         code: u16,
         /// Brownout level at the decision point.
         level: u8,

@@ -35,7 +35,6 @@
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used)]
 
-pub mod admission;
 mod client;
 pub mod clock;
 pub mod cluster;
@@ -46,7 +45,6 @@ pub mod server;
 pub mod store;
 pub mod transport;
 
-pub use admission::{AdmissionGate, AdmitError, OverloadOptions};
 pub use cluster::{ClusterHandle, GetOutcome, ReplayReport, RuntimeConfig};
 pub use loadgen::{LoadConfig, LoadReport};
 pub use server::{recover_placements, ResilienceOptions, RpcSpan, SpanKind, SpanSink};

@@ -31,7 +31,6 @@
 //! power-management arming without any help from the server; the server
 //! only needs to re-send the soft-state hints (see `Message::Register`).
 
-use crate::admission::shed_code;
 use crate::clock::VirtualClock;
 use crate::proto::{
     read_message, write_file_data, write_message, CodecError, Message, StatsCounters,
@@ -42,6 +41,7 @@ use disk_model::perf::AccessKind;
 use disk_model::{Disk, DiskSpec};
 use eevfs::buffer::BufferCatalog;
 use eevfs::journal::{self, Journal, JournalRecord};
+use eevfs::overload::shed_code;
 use sim_core::{SimDuration, SimTime};
 use std::collections::HashMap;
 use std::io::Write;

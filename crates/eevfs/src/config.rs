@@ -5,6 +5,7 @@
 //! the Table II knobs plus the policy toggles the ablation benchmarks
 //! exercise.
 
+use crate::overload::OverloadOptions;
 use disk_model::DiskSpec;
 use net_model::Link;
 use serde::{Deserialize, Serialize};
@@ -240,58 +241,6 @@ pub enum ArrivalMode {
     },
 }
 
-/// Overload-control knobs for the simulated server: a bounded admission
-/// queue plus a three-level brownout ladder with hysteresis. Mirrors the
-/// prototype's `eevfs_runtime::OverloadOptions` so closed-loop sim and
-/// runtime campaigns degrade the same way.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct OverloadConfig {
-    /// Admission bound: requests queued or in service at the server.
-    /// Arrivals past the bound are rejected (L3).
-    pub max_inflight: u32,
-    /// Queue depth at which the ladder enters L1 (suspend
-    /// prefetch-triggered spin-ups; serve buffer-resident data only).
-    pub l1_enter: u32,
-    /// Queue depth at which the ladder enters L2 (shed requests whose
-    /// priority is below [`OverloadConfig::shed_priority_below`]).
-    pub l2_enter: u32,
-    /// Priorities strictly below this are shed at L2 (0 = lowest).
-    pub shed_priority_below: u8,
-    /// Consecutive observations below `enter - exit_margin` required
-    /// before stepping the ladder down one level (hysteresis).
-    pub relief_needed: u32,
-    /// Relief margin below the entry threshold.
-    pub exit_margin: u32,
-}
-
-impl OverloadConfig {
-    /// A gate bounded at `n` with the same derived ladder thresholds the
-    /// prototype uses: L1 at half the bound, L2 at three quarters.
-    pub fn bounded(n: u32) -> OverloadConfig {
-        OverloadConfig {
-            max_inflight: n,
-            l1_enter: n.div_ceil(2),
-            l2_enter: (n * 3).div_ceil(4),
-            shed_priority_below: 2,
-            relief_needed: 3,
-            exit_margin: 1,
-        }
-    }
-
-    /// The shared control-plane options ([`crate::overload`]) this
-    /// config resolves to — the same struct the prototype's server runs.
-    pub fn to_options(self) -> crate::overload::OverloadOptions {
-        crate::overload::OverloadOptions {
-            max_inflight: self.max_inflight as usize,
-            l1_enter: self.l1_enter as usize,
-            l2_enter: self.l2_enter as usize,
-            shed_priority_below: self.shed_priority_below,
-            relief_needed: self.relief_needed,
-            exit_margin: self.exit_margin as usize,
-        }
-    }
-}
-
 /// Full EEVFS policy configuration for one run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EevfsConfig {
@@ -325,11 +274,12 @@ pub struct EevfsConfig {
     pub replication: u32,
     /// Read-side replica choice when `replication > 1`.
     pub replica_selection: ReplicaSelection,
-    /// Overload control plane (`None` = the legacy unbounded server
-    /// queue, bit-identical to pre-overload runs; defaulted for old
-    /// serialized configs).
+    /// Overload control plane at the server: the admission gate and
+    /// brownout ladder the prototype's server runs (`None` = the legacy
+    /// unbounded server queue, bit-identical to pre-overload runs;
+    /// defaulted for old serialized configs).
     #[serde(default)]
-    pub overload: Option<OverloadConfig>,
+    pub overload: Option<OverloadOptions>,
 }
 
 impl EevfsConfig {
@@ -352,10 +302,10 @@ impl EevfsConfig {
 
     /// EEVFS-PF replayed closed-loop behind a bounded admission gate
     /// (`max_inflight` slots) with the derived brownout ladder.
-    pub fn paper_pf_overload(k: u32, streams: u32, max_inflight: u32) -> EevfsConfig {
+    pub fn paper_pf_overload(k: u32, streams: u32, max_inflight: usize) -> EevfsConfig {
         EevfsConfig {
             arrival: ArrivalMode::ClosedLoop { streams },
-            overload: Some(OverloadConfig::bounded(max_inflight)),
+            overload: Some(OverloadOptions::bounded(max_inflight)),
             ..Self::paper_pf(k)
         }
     }

@@ -4,7 +4,7 @@
 //! a setup the plane is disengaged: it draws no random number, allocates
 //! nothing per request and schedules no event.
 
-use super::{ClusterSim, Ev, ReqState, OUTCOME_COMPLETED, OUTCOME_FAILED};
+use super::{Admission, ClusterSim, Ev, ReqState};
 use crate::config::ReplicaSelection;
 use crate::metrics::ResilienceStats;
 use crate::replication::{select_replica, Selected};
@@ -300,7 +300,7 @@ impl ClusterSim<'_> {
                 // Retry budget (bounded by the deadline) exhausted: the
                 // response books the deadline miss.
                 self.failed_requests += 1;
-                self.reqs[req as usize].overload_outcome = OUTCOME_FAILED;
+                self.reqs[req as usize].admission = Admission::Failed;
                 self.record_response(req, now, queue);
             }
         }
@@ -333,9 +333,7 @@ impl ClusterSim<'_> {
             mirror_of: Some(req),
             hedge_armed: true,
             response_s: None,
-            gate_admitted: false,
-            overload_dropped: false,
-            overload_outcome: OUTCOME_COMPLETED,
+            admission: Admission::Pending,
             ..r
         });
         self.obs.event(
@@ -371,7 +369,7 @@ impl ClusterSim<'_> {
             return;
         }
         if r.attempts >= MAX_ROUTE_ATTEMPTS {
-            r.overload_outcome = OUTCOME_FAILED;
+            r.admission = Admission::Failed;
             self.failed_requests += 1;
             self.record_response(req, now, queue);
         } else {

@@ -50,8 +50,10 @@ impl ResponseStats {
     }
 }
 
-/// Overload-control ledger for one run (all zero when no
-/// `OverloadConfig` was supplied — the legacy open-loop replay).
+/// Overload-control ledger for one run, booked by the
+/// [`AdmissionGate`](crate::overload::AdmissionGate) in both worlds (all
+/// zero when the config has no `overload` options — the legacy open-loop
+/// replay).
 ///
 /// Two equations close exactly, enforced as a chaos invariant:
 /// `offered == admitted + rejected + shed` at the admission gate, and
@@ -269,8 +271,8 @@ pub struct RunMetrics {
     /// Cache-tier and spin-budget outcomes from the `eevfs-power` policy
     /// plane (all zero when no `PowerPolicy` was supplied).
     pub tier: TierStats,
-    /// Overload-control ledger (all zero when no `OverloadConfig` was
-    /// supplied; defaulted for pre-overload serialized runs).
+    /// Overload-control ledger (all zero when the config has no
+    /// `overload` options; defaulted for pre-overload serialized runs).
     #[serde(default)]
     pub overload: OverloadStats,
     /// Per-node breakdown.

@@ -38,14 +38,20 @@
 //!
 //! The same ladder (same struct, same transition rule) runs inside the
 //! DES driver, which is what lets the simulator predict the prototype's
-//! shedding behaviour rather than merely resemble it.
+//! shedding behaviour rather than merely resemble it. Both worlds book
+//! the whole [`OverloadStats`] ledger through the gate: admission in
+//! [`AdmissionGate::try_admit`], the admitted request's [`Outcome`] in
+//! [`AdmissionGate::release`].
+
+use crate::metrics::OverloadStats;
+use serde::{Deserialize, Serialize};
 
 /// Knobs for the overload control plane.
 ///
 /// The default is **disabled**: a zero `max_inflight` means no gate, no
 /// ladder, no shedding — exactly the legacy unbounded behaviour, so
 /// existing configurations are unchanged.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct OverloadOptions {
     /// Maximum concurrently admitted requests (0 = control plane off).
     pub max_inflight: usize,
@@ -113,37 +119,34 @@ pub mod shed_code {
     pub const DOWNSTREAM: u16 = 3;
 }
 
+/// How an admitted request left the server, booked when its slot is
+/// released.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Outcome {
+    /// Served to completion.
+    Completed,
+    /// Refused downstream of admission: a node under brownout, or a
+    /// deadline budget that drained before routing.
+    NodeShed,
+    /// Failed downstream (route or retry budget exhausted, or an error
+    /// reply).
+    Failed,
+}
+
 /// Bounded admission gate plus brownout ladder plus the shed ledger.
 ///
 /// All mutation happens through [`AdmissionGate::try_admit`] /
 /// [`AdmissionGate::release`] (callers serialise access with a mutex, or
-/// single-threaded event order in the simulator), so the counters always
-/// close: `offered == admitted + rejected + shed`.
+/// single-threaded event order in the simulator), so the ledger always
+/// closes once every admitted slot is released
+/// ([`OverloadStats::ledger_closes`]).
 #[derive(Debug, Clone)]
 pub struct AdmissionGate {
     opts: OverloadOptions,
     inflight: usize,
     level: u8,
     relief: u32,
-    /// The ledger.
-    pub counters: GateCounters,
-}
-
-/// The admission-side half of the shed ledger.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GateCounters {
-    /// Requests offered to the gate.
-    pub offered: u64,
-    /// Requests admitted (slots taken).
-    pub admitted: u64,
-    /// Requests refused with `Busy`.
-    pub rejected: u64,
-    /// Requests shed pre-admission (deadline or priority).
-    pub shed: u64,
-    /// Ladder level changes, either direction.
-    pub brownout_transitions: u64,
-    /// Peak concurrent admitted requests.
-    pub queue_peak: u64,
+    stats: OverloadStats,
 }
 
 impl AdmissionGate {
@@ -154,7 +157,7 @@ impl AdmissionGate {
             inflight: 0,
             level: 0,
             relief: 0,
-            counters: GateCounters::default(),
+            stats: OverloadStats::default(),
         }
     }
 
@@ -168,45 +171,48 @@ impl AdmissionGate {
         self.inflight
     }
 
-    /// Records a pre-admission deadline shed (the caller refused the
-    /// request before offering it a slot).
-    pub fn shed_deadline(&mut self) {
-        self.counters.offered += 1;
-        self.counters.shed += 1;
-        self.observe();
+    /// The ledger so far.
+    pub fn stats(&self) -> &OverloadStats {
+        &self.stats
     }
 
     /// Offers one request with `priority` to the gate. `Ok` admits it
     /// (the caller must [`AdmissionGate::release`] the slot when the
     /// reply is written); `Err` says how to refuse it.
     pub fn try_admit(&mut self, priority: u8) -> Result<(), AdmitError> {
-        self.counters.offered += 1;
+        self.stats.offered += 1;
         if !self.opts.enabled() {
-            self.counters.admitted += 1;
+            self.stats.admitted += 1;
             self.inflight += 1;
-            self.counters.queue_peak = self.counters.queue_peak.max(self.inflight as u64);
+            self.stats.queue_peak = self.stats.queue_peak.max(self.inflight as u64);
             return Ok(());
         }
         self.observe();
         if self.level >= 3 || self.inflight >= self.opts.max_inflight {
-            self.counters.rejected += 1;
+            self.stats.rejected += 1;
             return Err(AdmitError::Busy);
         }
         if self.level >= 2 && priority < self.opts.shed_priority_below {
-            self.counters.shed += 1;
+            self.stats.shed += 1;
             return Err(AdmitError::PriorityShed);
         }
-        self.counters.admitted += 1;
+        self.stats.admitted += 1;
         self.inflight += 1;
-        self.counters.queue_peak = self.counters.queue_peak.max(self.inflight as u64);
+        self.stats.queue_peak = self.stats.queue_peak.max(self.inflight as u64);
         // The admission itself is load: step up immediately if it crossed
         // a threshold, so the *next* request sees the new level.
         self.climb();
         Ok(())
     }
 
-    /// Releases one admitted slot (reply written, or request abandoned).
-    pub fn release(&mut self) {
+    /// Releases one admitted slot (reply written, or request abandoned)
+    /// and books how the request left.
+    pub fn release(&mut self, outcome: Outcome) {
+        match outcome {
+            Outcome::Completed => self.stats.completed += 1,
+            Outcome::NodeShed => self.stats.node_shed += 1,
+            Outcome::Failed => self.stats.failed += 1,
+        }
         self.inflight = self.inflight.saturating_sub(1);
         self.observe();
     }
@@ -230,7 +236,7 @@ impl AdmissionGate {
             if self.relief >= self.opts.relief_needed {
                 self.level -= 1;
                 self.relief = 0;
-                self.counters.brownout_transitions += 1;
+                self.stats.brownout_transitions += 1;
             }
         } else {
             self.relief = 0;
@@ -250,7 +256,8 @@ impl AdmissionGate {
         if next != self.level {
             self.level = next;
             self.relief = 0;
-            self.counters.brownout_transitions += 1;
+            self.stats.brownout_transitions += 1;
+            self.stats.max_level = self.stats.max_level.max(next);
             true
         } else {
             false
@@ -290,8 +297,8 @@ mod tests {
             assert_eq!(g.try_admit(0), Ok(()));
         }
         assert_eq!(g.level(), 0);
-        assert_eq!(g.counters.admitted, 1000);
-        assert_eq!(g.counters.queue_peak, 1000);
+        assert_eq!(g.stats().admitted, 1000);
+        assert_eq!(g.stats().queue_peak, 1000);
     }
 
     #[test]
@@ -308,9 +315,9 @@ mod tests {
         }
         assert_eq!(admitted, 8, "exactly max_inflight admitted");
         assert_eq!(busy, 12);
-        assert_eq!(g.counters.queue_peak, 8);
+        assert_eq!(g.stats().queue_peak, 8);
         // Ledger closes.
-        let c = g.counters;
+        let c = *g.stats();
         assert_eq!(c.offered, c.admitted + c.rejected + c.shed);
     }
 
@@ -323,7 +330,7 @@ mod tests {
         assert_eq!(g.level(), 2, "occupancy 6 enters L2");
         assert_eq!(g.try_admit(1), Err(AdmitError::PriorityShed));
         assert_eq!(g.try_admit(2), Ok(()), "priority at threshold passes");
-        let c = g.counters;
+        let c = *g.stats();
         assert_eq!(c.offered, c.admitted + c.rejected + c.shed);
     }
 
@@ -335,19 +342,19 @@ mod tests {
         }
         assert_eq!(g.level(), 2);
         // Occupancy 5 is not below l2_enter - margin = 5: no relief.
-        g.release();
+        g.release(Outcome::Completed);
         assert_eq!((g.inflight(), g.level()), (5, 2));
         // Draining below the margin starts the relief count; only three
         // consecutive observations step down, and by exactly one level.
-        g.release(); // inflight 4: relief 1 (4 < 6-1)
-        g.release(); // inflight 3: relief 2
+        g.release(Outcome::Completed); // inflight 4: relief 1 (4 < 6-1)
+        g.release(Outcome::Completed); // inflight 3: relief 2
         assert_eq!(g.level(), 2, "hysteresis holds the level");
-        g.release(); // inflight 2: relief 3 -> step to L1
+        g.release(Outcome::Completed); // inflight 2: relief 3 -> step to L1
         assert_eq!(g.level(), 1, "one step per relief window");
-        g.release(); // inflight 1: relief 1 at L1 (1 < 4-1)
-        g.release(); // inflight 0: relief 2
+        g.release(Outcome::Completed); // inflight 1: relief 1 at L1 (1 < 4-1)
+        g.release(Outcome::Completed); // inflight 0: relief 2
         assert_eq!(g.level(), 1);
-        g.release(); // still 0: relief 3 -> L0
+        g.release(Outcome::Completed); // still 0: relief 3 -> L0
         assert_eq!(g.level(), 0);
     }
 
@@ -360,13 +367,13 @@ mod tests {
             let mut levels = Vec::new();
             for i in 0..200u32 {
                 if i % 3 == 0 {
-                    g.release();
+                    g.release(Outcome::Completed);
                 } else {
                     let _ = g.try_admit((i % 7) as u8);
                 }
                 levels.push(g.level());
             }
-            (levels, g.counters)
+            (levels, *g.stats())
         };
         assert_eq!(run(), run());
     }
@@ -379,8 +386,27 @@ mod tests {
         }
         assert_eq!(g.level(), 3, "full gate is L3");
         assert_eq!(g.try_admit(255), Err(AdmitError::Busy));
-        let c = g.counters;
+        let c = *g.stats();
         assert_eq!(c.offered, c.admitted + c.rejected + c.shed);
         assert!(c.brownout_transitions >= 3, "L0->L1->L2->L3: {c:?}");
+        assert_eq!(c.max_level, 3);
+    }
+
+    #[test]
+    fn release_books_each_outcome_and_the_ledger_closes() {
+        let mut g = AdmissionGate::new(opts());
+        for _ in 0..10 {
+            let _ = g.try_admit(5);
+        }
+        g.release(Outcome::Completed);
+        g.release(Outcome::NodeShed);
+        g.release(Outcome::Failed);
+        assert!(!g.stats().ledger_closes(), "five slots still held");
+        for _ in 0..5 {
+            g.release(Outcome::Completed);
+        }
+        let c = *g.stats();
+        assert_eq!((c.completed, c.node_shed, c.failed), (6, 1, 1));
+        assert!(c.ledger_closes(), "{c:?}");
     }
 }

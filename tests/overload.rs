@@ -3,11 +3,9 @@
 //! ledger must close exactly in the server's stats, and stepping the
 //! brownout ladder must change which requests are served.
 
-use eevfs_runtime::admission::shed_code;
+use eevfs::overload::{shed_code, OverloadOptions};
 use eevfs_runtime::proto::Message;
-use eevfs_runtime::{
-    loadgen, ClusterHandle, GetOutcome, LoadConfig, OverloadOptions, RuntimeConfig,
-};
+use eevfs_runtime::{loadgen, ClusterHandle, GetOutcome, LoadConfig, RuntimeConfig};
 use sim_core::SimDuration;
 use std::time::Duration;
 use workload::synthetic::{generate, SizeDist, SyntheticSpec};

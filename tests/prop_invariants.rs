@@ -432,7 +432,8 @@ proptest! {
         closed in any::<bool>(),
         k in 0u32..80,
     ) {
-        use eevfs::config::{ArrivalMode, OverloadConfig};
+        use eevfs::config::ArrivalMode;
+        use eevfs::overload::OverloadOptions;
         let trace = generate(&SyntheticSpec {
             requests,
             mu,
@@ -446,7 +447,7 @@ proptest! {
         if closed {
             cfg.arrival = ArrivalMode::ClosedLoop { streams };
         }
-        cfg.overload = Some(OverloadConfig::bounded(max_inflight));
+        cfg.overload = Some(OverloadOptions::bounded(max_inflight as usize));
         let m = run_cluster(&cluster, &cfg, &trace);
         let o = m.overload;
         prop_assert!(o.ledger_closes(), "ledger open: {:?}", o);
