@@ -22,6 +22,34 @@ fn unknown_command_exits_nonzero() {
     assert!(!out.status.success(), "unknown command must fail the run");
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("unknown command"), "stderr: {err}");
+    // The hint names every command.
+    let hint = err.split("try: ").nth(1).expect("a hint follows").trim();
+    let named: Vec<&str> = hint.split(", ").collect();
+    for command in [
+        "all",
+        "sweeps",
+        "fig3a",
+        "fig3b",
+        "fig3c",
+        "fig3d",
+        "fig4",
+        "fig5",
+        "fig6",
+        "ablate",
+        "faults",
+        "resilience",
+        "scrub",
+        "power-curve",
+        "hist",
+        "trace",
+        "bench",
+        "power",
+        "chaos",
+        "report",
+        "load",
+    ] {
+        assert!(named.contains(&command), "hint omits {command}: {hint}");
+    }
 }
 
 #[test]
