@@ -34,8 +34,9 @@ pub enum IdleVerdict {
 ///
 /// Implementations must be deterministic: any randomness flows from a
 /// seeded `SimRng` owned by the predictor, so same-seed replays make the
-/// same decisions.
-pub trait IdlePredictor: std::fmt::Debug {
+/// same decisions. They are `Send`, so a plane can run on the thread of
+/// the prototype node it serves.
+pub trait IdlePredictor: std::fmt::Debug + Send {
     /// Short policy name for reports.
     fn name(&self) -> &'static str;
 

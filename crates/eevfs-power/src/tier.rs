@@ -21,8 +21,8 @@ use sim_core::{SimDuration, SimRng};
 /// The driver consults the tier on every read (`lookup`), fills it on
 /// misses that reached a lower tier (`admit`), and drops entries that a
 /// write made stale (`invalidate`). Implementations count their own hits,
-/// misses, and evictions.
-pub trait CacheTier: std::fmt::Debug {
+/// misses, and evictions. Like predictors, tiers are `Send`.
+pub trait CacheTier: std::fmt::Debug + Send {
     /// Short policy name for reports.
     fn name(&self) -> &'static str;
     /// Looks up `file`, counting a hit or miss and refreshing the entry's

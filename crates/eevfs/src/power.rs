@@ -24,14 +24,41 @@
 //! which is why the paper's NPF runs show zero transitions.
 
 use crate::config::{EevfsConfig, PowerPolicy};
-use eevfs_power::{FixedThreshold, HintedThreshold, IdlePredictor, PolicyPlane};
+use eevfs_power::{FixedThreshold, HintedThreshold, IdlePredictor};
 use sim_core::{SimDuration, SimTime};
 
-/// Maps the paper's power configuration onto a policy plane with no cache
-/// tiers and unlimited spin budgets, and says whether it engages.
+/// The plane [`paper_plane`] returns and the verdicts it gives, for
+/// callers that drive it without depending on `eevfs-power` themselves.
+pub use eevfs_power::{IdleVerdict, PolicyPlane};
+
+/// The fields of [`EevfsConfig`] that decide a data disk's sleeps: the
+/// whole input of [`paper_plane`] besides the run's own facts. The
+/// prototype's nodes, which have no `EevfsConfig`, build one directly.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PowerRule {
+    /// When data disks are sent to standby.
+    pub policy: PowerPolicy,
+    /// Whether the node trusts the hinted pattern (§IV-C).
+    pub hints: bool,
+    /// The idle threshold.
+    pub idle_threshold: SimDuration,
+}
+
+impl From<&EevfsConfig> for PowerRule {
+    fn from(cfg: &EevfsConfig) -> Self {
+        PowerRule {
+            policy: cfg.power,
+            hints: cfg.hints,
+            idle_threshold: cfg.idle_threshold,
+        }
+    }
+}
+
+/// Maps the paper's power rule onto a policy plane with no cache tiers
+/// and unlimited spin budgets, and says whether it engages.
 ///
 /// * `IdleTimer`, or `PrefetchAware` without hints: every data disk waits
-///   out `cfg.idle_threshold` ([`FixedThreshold`]).
+///   out `rule.idle_threshold` ([`FixedThreshold`]).
 /// * `PrefetchAware` with hints, engaged: [`HintedThreshold`] over
 ///   `touches()[node][disk]`, each data disk's sorted expected physical
 ///   touch times on the pattern clock. `touches` runs only in this case.
@@ -41,20 +68,21 @@ use sim_core::{SimDuration, SimTime};
 /// (`worthwhile`); `None` never does. A disengaged plane is never asked
 /// for a sleep decision, so its predictors are the cheap fixed ones.
 pub fn paper_plane(
-    cfg: &EevfsConfig,
+    rule: impl Into<PowerRule>,
     prefetch_active: bool,
     worthwhile: bool,
     breakeven: &[Vec<SimDuration>],
     touches: impl FnOnce() -> Vec<Vec<Vec<SimTime>>>,
 ) -> (PolicyPlane, bool) {
-    let engaged = match cfg.power {
+    let rule = rule.into();
+    let engaged = match rule.policy {
         PowerPolicy::PrefetchAware => prefetch_active && worthwhile,
         PowerPolicy::IdleTimer => true,
         PowerPolicy::None => false,
     };
-    let hinted = engaged && cfg.power == PowerPolicy::PrefetchAware && cfg.hints;
+    let hinted = engaged && rule.policy == PowerPolicy::PrefetchAware && rule.hints;
     let mut touches = hinted.then(touches);
-    let threshold = cfg.idle_threshold;
+    let threshold = rule.idle_threshold;
     let plane = PolicyPlane::with_predictors(
         eevfs_power::PowerPolicy::paper_fixed(),
         breakeven,
@@ -74,7 +102,6 @@ pub fn paper_plane(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eevfs_power::IdleVerdict;
 
     fn secs(s: u64) -> SimTime {
         SimTime::from_secs(s)
