@@ -13,8 +13,9 @@
 //! 3. **Create + prefetch** — files are created on the nodes
 //!    (popularity round-robin, reusing `eevfs::placement`) and the server
 //!    instructs nodes to prefetch the top-K into their buffer areas.
-//! 4. **Hints** — the server forwards each node its expected pattern
-//!    (used by the idle-window power management).
+//! 4. **Hints** — the server forwards each node its expected pattern,
+//!    which feeds the node's power plane, the simulator's
+//!    `eevfs::power::paper_plane`.
 //! 5. **Request** — a client asks the server for a file, quoting a
 //!    callback port.
 //! 6. **Response** — the owning node streams the file *to the client*,

@@ -7,19 +7,26 @@
 //! * one `disk_model::Disk` per drive — the same power/energy state
 //!   machine the simulator uses, driven here in virtual time,
 //! * a buffer catalog (reusing `eevfs::buffer::BufferCatalog`),
-//! * retroactive idle-window power management: when a physical request
-//!   arrives after a gap longer than the idle threshold, the disk is
-//!   accounted as having spun down at `last_touch + threshold` and the
-//!   request *really waits* the (scaled) spin-up time — so wake penalties
-//!   show up in measured response times, like the paper's §VI-C.
+//! * the paper's power plane (§III-C, §IV-C), built by
+//!   [`eevfs::power::paper_plane`] exactly as the simulator builds it.
 //!
 //! A `Get` is answered by pushing the file to the client over one
 //! persistent push connection per client port, then acking the server
 //! (see `NodeState::push`).
 //!
-//! Power management engages only once the node has been told to prefetch
-//! (the prediction-driven policy from §III-C: without buffer coverage the
-//! node does not trust any idle window).
+//! ## Power
+//!
+//! When the hints arrive on a node that prefetches, each data disk gets a
+//! hint-driven predictor over its expected physical touches: the pattern
+//! entries whose file lives on that disk and is not in the buffer
+//! catalog. Whenever a disk goes idle — after each access, and at the
+//! hints themselves — the plane rules on it: sleep at once when no touch
+//! is expected for at least the idle threshold, otherwise stay up. The
+//! node runs no timers, so a ruling is held as a pending sleep instant
+//! and applied at the disk's next access or at the next stats snapshot.
+//! An access that finds its disk asleep *really waits* the (scaled)
+//! spin-up, so wake penalties show up in measured response times, like
+//! the paper's §VI-C. Without prefetching the plane never engages.
 //!
 //! ## Crash recovery
 //!
@@ -38,12 +45,14 @@ use crate::proto::{
 use crate::store::FileStore;
 use crate::transport::no_delay;
 use disk_model::perf::AccessKind;
-use disk_model::{Disk, DiskSpec};
+use disk_model::{breakeven_time, CompletionInfo, Disk, DiskSpec};
 use eevfs::buffer::BufferCatalog;
+use eevfs::config::PowerPolicy;
 use eevfs::journal::{self, Journal, JournalRecord};
 use eevfs::overload::shed_code;
+use eevfs::power::{paper_plane, IdleVerdict, PolicyPlane, PowerRule};
 use sim_core::{SimDuration, SimTime};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -64,18 +73,156 @@ pub struct NodeConfig {
     pub clock: VirtualClock,
 }
 
+/// A node's data disks under the paper's power plane. Every time here is
+/// an explicit virtual time, so the power path replays deterministically
+/// apart from the clock that feeds it.
+struct DataDisks {
+    disks: Vec<Disk>,
+    idle_threshold: SimDuration,
+    /// The plane of a node whose hints have arrived while it prefetches;
+    /// `None` before that, and always under NPF.
+    plane: Option<PolicyPlane>,
+    /// Files whose physical accesses the hints expect; each such access
+    /// consumes its disk's next expected touch.
+    expected: HashSet<u32>,
+    /// The instant each disk's last ruling puts it to sleep, applied at
+    /// its next access or stats snapshot.
+    sleep_at: Vec<Option<SimTime>>,
+}
+
+impl DataDisks {
+    fn new(count: usize, spec: &DiskSpec, idle_threshold: SimDuration) -> DataDisks {
+        DataDisks {
+            disks: (0..count).map(|_| Disk::new(spec.clone())).collect(),
+            idle_threshold,
+            plane: None,
+            expected: HashSet::new(),
+            sleep_at: vec![None; count],
+        }
+    }
+
+    /// Step 4: builds the plane from the hinted pattern, as the simulator
+    /// does, and rules on every disk. `disk_of` names the data disk a
+    /// pattern file's access physically touches, or `None` when the
+    /// buffer serves it. The pattern clock starts at `now`.
+    fn hint(
+        &mut self,
+        now: SimTime,
+        pattern: &[(u64, u32)],
+        disk_of: impl Fn(u32) -> Option<usize>,
+        prefetch_active: bool,
+    ) {
+        // A repeated hint keeps the sleeps the previous plane decided.
+        for d in 0..self.disks.len() {
+            self.settle(d, now);
+        }
+        let mut touches = vec![Vec::new(); self.disks.len()];
+        self.expected.clear();
+        for &(at, file) in pattern {
+            if let Some(d) = disk_of(file) {
+                touches[d].push(SimTime::from_micros(at));
+                self.expected.insert(file);
+            }
+        }
+        let rule = PowerRule {
+            policy: PowerPolicy::PrefetchAware,
+            hints: true,
+            idle_threshold: self.idle_threshold,
+        };
+        let breakeven = [self
+            .disks
+            .iter()
+            .map(|d| breakeven_time(d.spec()))
+            .collect()];
+        // The node has no energy model, so a prefetching node always
+        // finds sleeping worthwhile.
+        let (mut plane, engaged) =
+            paper_plane(rule, prefetch_active, true, &breakeven, || vec![touches]);
+        plane.set_drift(now.since(SimTime::ZERO));
+        self.plane = engaged.then_some(plane);
+        for d in 0..self.disks.len() {
+            let onset = self.disks[d].busy_until().max(now);
+            self.decide(d, onset);
+        }
+    }
+
+    /// Asks the plane about disk `d`, idle from `onset`, and records when
+    /// it sleeps.
+    fn decide(&mut self, d: usize, onset: SimTime) {
+        let Some(plane) = self.plane.as_mut() else {
+            return;
+        };
+        // Nothing reaches the predictor before a timer would fire, so its
+        // veto on the timer can be asked now.
+        self.sleep_at[d] = match plane.on_idle(0, d, onset) {
+            IdleVerdict::SleepNow => Some(onset),
+            IdleVerdict::After(wait) => plane.timer_allows_sleep(0, d).then(|| onset + wait),
+            IdleVerdict::Stay => None,
+        };
+    }
+
+    /// Applies disk `d`'s pending sleep if its instant is before `now`.
+    fn settle(&mut self, d: usize, now: SimTime) {
+        let (Some(at), Some(plane)) = (self.sleep_at[d], self.plane.as_mut()) else {
+            return;
+        };
+        if at >= now {
+            return;
+        }
+        self.sleep_at[d] = None;
+        let disk = &mut self.disks[d];
+        if disk.is_idle(at) && plane.try_charge_spin(0, d) {
+            disk.sleep(at);
+        }
+    }
+
+    /// One physical access of `bytes` to `file` on disk `d`, arriving at
+    /// `now`: applies the pending sleep it ends, consumes the expected
+    /// touch it is, and rules on the idle period it opens.
+    fn access(
+        &mut self,
+        d: usize,
+        file: u32,
+        now: SimTime,
+        bytes: u64,
+        kind: AccessKind,
+    ) -> CompletionInfo {
+        self.settle(d, now);
+        if let Some(plane) = self.plane.as_mut() {
+            if self.expected.contains(&file) {
+                plane.on_expected_touch(0, d);
+            }
+        }
+        let comp = self.disks[d].submit(now, bytes, kind);
+        self.decide(d, comp.finish);
+        comp
+    }
+
+    /// Settles every disk to `now`, pending sleeps first; returns the
+    /// disks' joules, spin-ups and spin-downs so far.
+    fn finalize(&mut self, now: SimTime) -> (f64, u64, u64) {
+        let (mut joules, mut ups, mut downs) = (0.0, 0, 0);
+        for d in 0..self.disks.len() {
+            self.settle(d, now);
+            let disk = &mut self.disks[d];
+            disk.finalize(now);
+            joules += disk.total_joules();
+            ups += disk.transitions().spin_ups;
+            downs += disk.transitions().spin_downs;
+        }
+        (joules, ups, downs)
+    }
+}
+
 struct NodeState {
     store: FileStore,
     clock: VirtualClock,
-    idle_threshold: SimDuration,
     disk_of_file: HashMap<u32, usize>,
     size_of_file: HashMap<u32, u64>,
     catalog: BufferCatalog,
-    data_disks: Vec<Disk>,
+    data_disks: DataDisks,
     buffer_disk: Disk,
-    /// Virtual completion time of each data disk's last request.
-    last_touch: Vec<SimTime>,
-    /// Power management engages once prefetching has populated the buffer.
+    /// The power plane engages once prefetching has populated the buffer.
     power_enabled: bool,
     /// Fault injection: physical accesses to a failed disk return io
     /// errors until it is repaired. Buffered copies keep serving.
@@ -107,15 +254,11 @@ impl NodeState {
         let mut state = NodeState {
             store,
             clock: cfg.clock.clone(),
-            idle_threshold: cfg.idle_threshold,
             disk_of_file: HashMap::new(),
             size_of_file: HashMap::new(),
             catalog: BufferCatalog::new(cfg.disk_spec.capacity_bytes),
-            data_disks: (0..cfg.data_disks)
-                .map(|_| Disk::new(cfg.disk_spec.clone()))
-                .collect(),
+            data_disks: DataDisks::new(cfg.data_disks, &cfg.disk_spec, cfg.idle_threshold),
             buffer_disk: Disk::new(cfg.disk_spec.clone()),
-            last_touch: vec![SimTime::ZERO; cfg.data_disks],
             power_enabled: false,
             failed_disks: vec![false; cfg.data_disks],
             journal: Journal::new(),
@@ -198,23 +341,14 @@ impl NodeState {
         Message::Err { code: 2 }
     }
 
-    /// Accounts a physical access on a data disk, applying the
-    /// retroactive idle-window sleep, and *really waits* out the scaled
-    /// service (and any spin-up).
-    fn access_data_disk(&mut self, disk: usize, bytes: u64) -> bool {
+    /// Accounts a physical access of `file` on a data disk and *really
+    /// waits* out the scaled service (and any spin-up).
+    fn access_data_disk(&mut self, disk: usize, file: u32, bytes: u64) {
         let now = self.clock.now();
-        if self.power_enabled {
-            let sleep_at = self.last_touch[disk] + self.idle_threshold;
-            if now > sleep_at && (now - sleep_at) > SimDuration::ZERO {
-                // The disk would have been spun down at the threshold;
-                // record it (no-op if it was busy or already down).
-                self.data_disks[disk].sleep(sleep_at);
-            }
-        }
-        let comp = self.data_disks[disk].submit(now, bytes, AccessKind::Random);
-        self.last_touch[disk] = comp.finish;
+        let comp = self
+            .data_disks
+            .access(disk, file, now, bytes, AccessKind::Random);
         self.clock.sleep_virtual(comp.finish - now);
-        comp.spun_up
     }
 
     /// Accounts a buffer-disk access and waits out the scaled service.
@@ -284,8 +418,8 @@ impl NodeState {
                             return Ok(Message::Err { code: 2 });
                         }
                         let now = self.clock.now();
-                        let comp = self.data_disks[disk].submit(now, size, AccessKind::Sequential);
-                        self.last_touch[disk] = comp.finish;
+                        self.data_disks
+                            .access(disk, file, now, size, AccessKind::Sequential);
                         Ok(Message::Ok)
                     }
                     Err(_) => Ok(Message::Err { code: 2 }),
@@ -305,8 +439,8 @@ impl NodeState {
                     }
                     // Read off the data disk, append to the buffer log.
                     let now = self.clock.now();
-                    let comp = self.data_disks[disk].submit(now, size, AccessKind::Random);
-                    self.last_touch[disk] = comp.finish;
+                    self.data_disks
+                        .access(disk, file, now, size, AccessKind::Random);
                     self.access_buffer_disk(size, AccessKind::Sequential);
                     if self
                         .catalog
@@ -323,25 +457,14 @@ impl NodeState {
                 Ok(Message::Ok)
             }
             Message::Hints { pattern } => {
-                // Disks with no expected physical accesses can be slept
-                // immediately (the paper's step-4 conservatism in reverse:
-                // hints *create* the trust needed to sleep right away).
-                if self.power_enabled {
-                    let mut touched = vec![false; self.data_disks.len()];
-                    for (_, file) in &pattern {
-                        if let Some(&d) = self.disk_of_file.get(file) {
-                            if !self.catalog.contains(workload::record::FileId(*file)) {
-                                touched[d] = true;
-                            }
-                        }
-                    }
-                    let now = self.clock.now();
-                    for (d, t) in touched.iter().enumerate() {
-                        if !t {
-                            self.data_disks[d].sleep(now);
-                        }
-                    }
-                }
+                let (disk_of_file, catalog) = (&self.disk_of_file, &self.catalog);
+                let physical = |file: u32| {
+                    let disk = disk_of_file.get(&file).copied();
+                    disk.filter(|_| !catalog.contains(workload::record::FileId(file)))
+                };
+                let now = self.clock.now();
+                self.data_disks
+                    .hint(now, &pattern, physical, self.power_enabled);
                 Ok(Message::Ok)
             }
             Message::Get {
@@ -382,7 +505,7 @@ impl NodeState {
                 } else if self.failed_disks[disk] {
                     return Ok(Message::Err { code: 2 });
                 } else {
-                    self.access_data_disk(disk, size);
+                    self.access_data_disk(disk, file, size);
                     self.store.read_data_into(disk, file, &mut self.payload)
                 };
                 if let Err(e) = read {
@@ -444,29 +567,13 @@ impl NodeState {
                     {
                         return Ok(Message::Err { code: 2 });
                     }
-                    self.access_data_disk(disk, size);
+                    self.access_data_disk(disk, file, size);
                 }
                 Ok(Message::Ok)
             }
             Message::StatsRequest => {
                 let now = self.clock.now();
-                let mut joules = 0.0;
-                let mut ups = 0;
-                let mut downs = 0;
-                for (d, disk) in self.data_disks.iter_mut().enumerate() {
-                    if self.power_enabled {
-                        // Trailing idleness beyond the threshold counts as
-                        // standby too.
-                        let sleep_at = self.last_touch[d] + self.idle_threshold;
-                        if now > sleep_at {
-                            disk.sleep(sleep_at);
-                        }
-                    }
-                    disk.finalize(now);
-                    joules += disk.total_joules();
-                    ups += disk.transitions().spin_ups;
-                    downs += disk.transitions().spin_downs;
-                }
+                let (mut joules, ups, downs) = self.data_disks.finalize(now);
                 self.buffer_disk.finalize(now);
                 joules += self.buffer_disk.total_joules();
                 // The resilience and overload-ledger counters are
@@ -669,6 +776,234 @@ mod tests {
                 .expect("push frame");
             (fd, read_message(ctl).expect("ack"))
         }
+    }
+
+    /// The simulator's side of the power protocol, as `eevfs::driver`
+    /// runs it: each access consumes its expected touch and arms a sleep
+    /// check at the disk's idle onset; the check asks the plane and
+    /// sleeps, or re-checks after a timer. The hints event arms the first
+    /// checks, as the driver's end of warm-up does.
+    mod des {
+        use super::*;
+        use sim_core::{Engine, EventQueue, Model};
+
+        pub enum Ev {
+            Hints,
+            Access {
+                disk: usize,
+                file: u32,
+                bytes: u64,
+            },
+            Check {
+                disk: usize,
+                generation: u64,
+                armed: bool,
+            },
+        }
+
+        pub struct Des {
+            pub disks: Vec<Disk>,
+            pub plane: PolicyPlane,
+            pub expected: HashSet<u32>,
+            pub engaged: bool,
+        }
+
+        impl Des {
+            fn arm(&self, d: usize, queue: &mut EventQueue<Ev>) {
+                let disk = &self.disks[d];
+                let check = Ev::Check {
+                    disk: d,
+                    generation: disk.generation(),
+                    armed: false,
+                };
+                queue.schedule(disk.busy_until().max(queue.now()), check);
+            }
+        }
+
+        impl Model for Des {
+            type Event = Ev;
+
+            fn handle(&mut self, now: SimTime, ev: Ev, queue: &mut EventQueue<Ev>) {
+                match ev {
+                    Ev::Hints => {
+                        self.plane.set_drift(now.since(SimTime::ZERO));
+                        self.engaged = true;
+                        for d in 0..self.disks.len() {
+                            self.arm(d, queue);
+                        }
+                    }
+                    Ev::Access { disk, file, bytes } => {
+                        if self.expected.contains(&file) {
+                            self.plane.on_expected_touch(0, disk);
+                        }
+                        self.disks[disk].submit(now, bytes, AccessKind::Random);
+                        if self.engaged {
+                            self.arm(disk, queue);
+                        }
+                    }
+                    Ev::Check {
+                        disk,
+                        generation,
+                        armed,
+                    } => {
+                        let d = &self.disks[disk];
+                        if d.generation() != generation || !d.is_idle(now) {
+                            return;
+                        }
+                        let sleep = if armed {
+                            self.plane.timer_allows_sleep(0, disk)
+                        } else {
+                            match self.plane.on_idle(0, disk, now) {
+                                IdleVerdict::SleepNow => true,
+                                IdleVerdict::After(wait) => {
+                                    let check = Ev::Check {
+                                        disk,
+                                        generation,
+                                        armed: true,
+                                    };
+                                    queue.schedule(now + wait, check);
+                                    false
+                                }
+                                IdleVerdict::Stay => false,
+                            }
+                        };
+                        if sleep && self.plane.try_charge_spin(0, disk) {
+                            self.disks[disk].sleep(now);
+                        }
+                    }
+                }
+            }
+        }
+
+        pub fn run(model: Des, events: Vec<(SimTime, Ev)>) -> Des {
+            let mut engine = Engine::new(model);
+            for (at, ev) in events {
+                engine.queue_mut().schedule(at, ev);
+            }
+            engine.run();
+            engine.into_model()
+        }
+    }
+
+    /// Where a disk's state log shows it starting to spin down.
+    fn sleeps(disk: &Disk) -> Vec<SimTime> {
+        let log = disk.meter().state_log();
+        log.iter()
+            .filter(|&&(_, _, to)| to == disk_model::PowerState::SpinningDown)
+            .map(|&(at, _, _)| at)
+            .collect()
+    }
+
+    /// One hints pattern and one scripted list of data-disk accesses,
+    /// replayed through the node's power path and through the
+    /// simulator's protocol over a `paper_plane` built from the paper's
+    /// configuration, at the same explicit virtual times: every disk
+    /// sleeps at the same instants and spins up as often.
+    ///
+    /// * Disk 0 expects no touch: it sleeps at the hints, and again as
+    ///   soon as an unhinted read has woken it.
+    /// * Disk 1's next touch is always at least the threshold away: it
+    ///   sleeps at each idle onset (after a prefetch that outlasts the
+    ///   hints, at the prefetch's end).
+    /// * Disk 2's next touch is less than the threshold away, then
+    ///   overdue: it stays up until its last expected touch has come.
+    #[test]
+    fn node_power_rule_matches_the_des_plane() {
+        // Times in milliseconds; the pattern carries microseconds.
+        let ms = SimTime::from_millis;
+        let at = |ms: u64| ms * 1000;
+        let hints = ms(100_000);
+        let bytes = 58_000;
+        // File 10 lives on disk 0, 20 on disk 1, 30 and the buffered 40
+        // on disk 2; file 5 is a prefetch read on disk 1.
+        let pattern = vec![
+            (at(1_000), 40),
+            (at(3_000), 30),
+            (at(8_000), 30),
+            (at(9_005), 30),
+            (at(20_000), 20),
+            (at(40_000), 20),
+        ];
+        let physical = |file: u32| match file {
+            10 => Some(0),
+            20 => Some(1),
+            30 => Some(2),
+            _ => None,
+        };
+        let accesses = [
+            (99_995, 1, 5),
+            (103_000, 2, 30),
+            (109_000, 2, 30),
+            (109_500, 2, 30),
+            (120_000, 1, 20),
+            (130_000, 0, 10),
+            (140_000, 1, 20),
+        ];
+        let end = ms(160_000);
+        let spec = DiskSpec::ata133_type1();
+        let mut cfg = eevfs::EevfsConfig::paper_pf(8);
+        cfg.idle_threshold = SimDuration::from_secs(5);
+
+        let mut node = DataDisks::new(3, &spec, cfg.idle_threshold);
+        node.disks.iter_mut().for_each(Disk::enable_state_log);
+        let mut finish = HashMap::new();
+        for &(t, disk, file) in &accesses {
+            if ms(t) > hints && node.plane.is_none() {
+                node.hint(hints, &pattern, physical, true);
+            }
+            let comp = node.access(disk, file, ms(t), bytes, AccessKind::Random);
+            finish.insert(t, comp.finish);
+        }
+        let (node_joules, node_ups, node_downs) = node.finalize(end);
+
+        let touches = vec![vec![
+            Vec::new(),
+            vec![ms(20_000), ms(40_000)],
+            vec![ms(3_000), ms(8_000), ms(9_005)],
+        ]];
+        let breakeven = [vec![disk_model::breakeven_time(&spec); 3]];
+        let (plane, engaged) = paper_plane(&cfg, true, true, &breakeven, || touches);
+        assert!(engaged);
+        let mut disks: Vec<Disk> = (0..3).map(|_| Disk::new(spec.clone())).collect();
+        disks.iter_mut().for_each(Disk::enable_state_log);
+        let model = des::Des {
+            disks,
+            plane,
+            expected: HashSet::from([20, 30]),
+            engaged: false,
+        };
+        let mut events = vec![(hints, des::Ev::Hints)];
+        events.extend(
+            accesses
+                .iter()
+                .map(|&(t, disk, file)| (ms(t), des::Ev::Access { disk, file, bytes })),
+        );
+        let mut sim = des::run(model, events);
+        let (mut sim_joules, mut sim_ups, mut sim_downs) = (0.0, 0, 0);
+        for disk in &mut sim.disks {
+            disk.finalize(end);
+            sim_joules += disk.total_joules();
+            sim_ups += disk.transitions().spin_ups;
+            sim_downs += disk.transitions().spin_downs;
+        }
+
+        let done = |t: u64| finish[&t];
+        let node_sleeps: Vec<_> = node.disks.iter().map(sleeps).collect();
+        assert_eq!(node_sleeps[0], vec![hints, done(130_000)]);
+        assert_eq!(
+            node_sleeps[1],
+            vec![done(99_995), done(120_000), done(140_000)]
+        );
+        assert_eq!(node_sleeps[2], vec![done(109_500)]);
+        assert!(done(99_995) > hints, "the prefetch outlasts the hints");
+        let sim_sleeps: Vec<_> = sim.disks.iter().map(sleeps).collect();
+        assert_eq!(node_sleeps, sim_sleeps);
+        for (n, d) in node.disks.iter().zip(&sim.disks) {
+            assert_eq!(n.meter().state_log(), d.meter().state_log());
+        }
+        assert_eq!((node_ups, node_downs), (3, 6));
+        assert_eq!((node_ups, node_downs), (sim_ups, sim_downs));
+        assert_eq!(node_joules.to_bits(), sim_joules.to_bits());
     }
 
     #[test]

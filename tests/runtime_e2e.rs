@@ -71,9 +71,12 @@ fn prefetching_saves_disk_energy_in_the_prototype() {
 
 #[test]
 fn wake_penalty_is_really_slept() {
-    // One hot file prefetched, one cold file. After a long idle gap the
-    // cold file's disk has (retroactively) spun down, so fetching it pays
-    // a real, scaled spin-up delay; the hot file does not.
+    // One hot file prefetched, one cold file. The hints expect one read
+    // of the cold file, less than the idle threshold into the pattern, so
+    // its disk stays up for it. Once that read has come, nothing more is
+    // expected on the disk and the power plane sleeps it as soon as the
+    // read completes; fetching the cold file again pays a real, scaled
+    // spin-up delay. The hot file does not.
     let trace = small_trace(4, 8, 1.0);
     let mut cfg = RuntimeConfig::small("wake");
     cfg.nodes = 1;
@@ -83,8 +86,9 @@ fn wake_penalty_is_really_slept() {
     cfg.idle_threshold = SimDuration::from_secs(5);
     let mut cluster = ClusterHandle::start(cfg, &trace).expect("start");
 
-    // Touch a cold file once so last_touch is set, then idle long enough
-    // (in virtual time) to cross the threshold.
+    // The first cold fetch consumes the cold file's expected touch; the
+    // gap after it outlasts the spin-down (in virtual time), so the second
+    // fetch finds the disk in standby.
     let pop = workload::popularity::PopularityTable::from_trace(&trace);
     let cold = pop.ranked().last().copied().expect("population");
     let hot = pop.ranked()[0];
