@@ -457,6 +457,11 @@ impl ClusterHandle {
 
     /// Shuts the cluster down and removes its on-disk state. Every thread
     /// the cluster started has exited when this returns.
+    ///
+    /// # Panics
+    ///
+    /// If a server thread panicked, this panics in turn once every thread
+    /// is joined and the state removed, as `std::thread::scope` does.
     pub fn shutdown(mut self) {
         // Wait for the shutdown echo (or the connection closing).
         if self.client.send(&Message::Shutdown).is_ok() {
@@ -466,13 +471,14 @@ impl ClusterHandle {
                 }
             }
         }
-        if let Some(server) = self.server.take() {
-            server.join();
-        }
+        let server = self.server.take().map(ServerDaemon::join);
         for node in self.nodes.drain(..) {
             node.join();
         }
         let _ = std::fs::remove_dir_all(&self.cfg.root_dir);
+        if let Some(Err(e)) = server {
+            panic!("{e}");
+        }
     }
 }
 

@@ -700,7 +700,8 @@ impl ServerState {
 pub struct ServerDaemon {
     /// Address clients talk to.
     pub addr: SocketAddr,
-    handle: JoinHandle<()>,
+    /// The accept loop; it returns how many connection threads panicked.
+    handle: JoinHandle<usize>,
 }
 
 impl ServerDaemon {
@@ -766,30 +767,62 @@ impl ServerDaemon {
         let handle = std::thread::Builder::new()
             .name("eevfs-server".into())
             .spawn(move || {
+                let mut conns = Vec::new();
+                let mut panicked = 0;
                 for stream in listener.incoming() {
                     if shared.shutting_down.load(Ordering::SeqCst) {
                         break;
                     }
-                    let Ok(stream) = stream.and_then(no_delay) else {
+                    let Ok((stream, peer)) = stream
+                        .and_then(no_delay)
+                        .and_then(|s| Ok((s.try_clone()?, s)))
+                    else {
                         continue;
                     };
+                    panicked += reap(&mut conns, false);
                     // Thread-per-connection: concurrency is bounded by the
                     // admission gate, not by the accept loop — a refused
                     // request gets its Busy/Shed reply without ever
                     // waiting on the routing lock.
                     let conn_shared = Arc::clone(&shared);
-                    let _ = std::thread::Builder::new()
+                    if let Ok(conn) = std::thread::Builder::new()
                         .name("eevfs-server-conn".into())
-                        .spawn(move || serve_connection(&conn_shared, stream, addr));
+                        .spawn(move || serve_connection(&conn_shared, stream, addr))
+                    {
+                        conns.push((conn, peer));
+                    }
                 }
+                // Close every connection a client still holds open, so
+                // that its thread sees the end of the stream and exits.
+                for (_, peer) in &conns {
+                    let _ = peer.shutdown(std::net::Shutdown::Both);
+                }
+                panicked + reap(&mut conns, true)
             })?;
         Ok(ServerDaemon { addr, handle })
     }
 
-    /// Waits for the server thread to exit.
-    pub fn join(self) {
-        let _ = self.handle.join();
+    /// Waits for the server thread and every connection thread to exit.
+    /// A connection thread that panicked is an error.
+    pub fn join(self) -> std::io::Result<()> {
+        match self.handle.join() {
+            Ok(0) => Ok(()),
+            Ok(n) => Err(std::io::Error::other(format!(
+                "{n} server connection thread(s) panicked"
+            ))),
+            Err(_) => Err(std::io::Error::other("the server's accept thread panicked")),
+        }
     }
+}
+
+/// Joins the connection threads that have exited, or all of them with
+/// `all`, and counts those that panicked. Each comes with its socket.
+fn reap(conns: &mut Vec<(JoinHandle<()>, TcpStream)>, all: bool) -> usize {
+    conns
+        .extract_if(.., |(conn, _)| all || conn.is_finished())
+        .map(|(conn, _)| conn.join())
+        .filter(Result::is_err)
+        .count()
 }
 
 /// Shared server context: routing state, the admission gate (under its
