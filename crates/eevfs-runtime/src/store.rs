@@ -60,11 +60,18 @@ pub fn verify_pattern(id: u32, data: &[u8]) -> bool {
         .all(|(got, want)| *got == want[..got.len()])
 }
 
+/// The CRC32 sidecar's path of the data file at `path`.
+fn sidecar(mut path: PathBuf) -> PathBuf {
+    path.set_extension("crc");
+    path
+}
+
 /// Storage layout of one node.
 #[derive(Debug)]
 pub struct FileStore {
     root: PathBuf,
-    data_disks: usize,
+    /// `disk{d}` under the root, one per data disk.
+    disks: Vec<PathBuf>,
 }
 
 impl FileStore {
@@ -73,16 +80,19 @@ impl FileStore {
     pub fn create(root: impl Into<PathBuf>, data_disks: usize) -> io::Result<FileStore> {
         assert!(data_disks > 0, "a node needs at least one data disk");
         let root = root.into();
-        for d in 0..data_disks {
-            fs::create_dir_all(root.join(format!("disk{d}")))?;
+        let disks: Vec<PathBuf> = (0..data_disks)
+            .map(|d| root.join(format!("disk{d}")))
+            .collect();
+        for dir in &disks {
+            fs::create_dir_all(dir)?;
         }
         fs::create_dir_all(root.join("buffer"))?;
-        Ok(FileStore { root, data_disks })
+        Ok(FileStore { root, disks })
     }
 
     /// Number of data disks.
     pub fn data_disks(&self) -> usize {
-        self.data_disks
+        self.disks.len()
     }
 
     /// Node root directory.
@@ -90,16 +100,20 @@ impl FileStore {
         &self.root
     }
 
-    fn data_path(&self, disk: usize, file: u32) -> PathBuf {
-        self.root
-            .join(format!("disk{disk}"))
-            .join(format!("f{file:08}"))
+    /// `disk{disk}/f{file:08}`, with room to become its sidecar's path
+    /// ([`sidecar`]) without growing. A disk the node lacks is not found.
+    fn data_path(&self, disk: usize, file: u32) -> io::Result<PathBuf> {
+        let dir = self.disks.get(disk).ok_or_else(|| {
+            io::Error::new(io::ErrorKind::NotFound, format!("no data disk {disk}"))
+        })?;
+        let mut path = PathBuf::with_capacity(dir.as_os_str().len() + "/f00000000.crc".len());
+        path.push(dir);
+        path.push(format!("f{file:08}"));
+        Ok(path)
     }
 
-    fn crc_path(&self, disk: usize, file: u32) -> PathBuf {
-        self.root
-            .join(format!("disk{disk}"))
-            .join(format!("f{file:08}.crc"))
+    fn crc_path(&self, disk: usize, file: u32) -> io::Result<PathBuf> {
+        self.data_path(disk, file).map(sidecar)
     }
 
     fn buffer_path(&self, file: u32) -> PathBuf {
@@ -107,7 +121,7 @@ impl FileStore {
     }
 
     fn write_crc(&self, disk: usize, file: u32, data: &[u8]) -> io::Result<()> {
-        fs::write(self.crc_path(disk, file), crc32(data).to_le_bytes())
+        fs::write(self.crc_path(disk, file)?, crc32(data).to_le_bytes())
     }
 
     /// Creates a file with deterministic contents on a data disk.
@@ -124,9 +138,9 @@ impl FileStore {
         size: u64,
         scratch: &mut Vec<u8>,
     ) -> io::Result<()> {
-        assert!(disk < self.data_disks, "disk {disk} out of range");
+        assert!(disk < self.disks.len(), "disk {disk} out of range");
         fill_pattern(file, size, scratch);
-        let mut f = fs::File::create(self.data_path(disk, file))?;
+        let mut f = fs::File::create(self.data_path(disk, file)?)?;
         f.write_all(scratch)?;
         self.write_crc(disk, file, scratch)
     }
@@ -146,12 +160,12 @@ impl FileStore {
     /// file is larger than any before it.
     pub fn read_data_into(&self, disk: usize, file: u32, buf: &mut Vec<u8>) -> io::Result<()> {
         buf.clear();
-        fs::File::open(self.data_path(disk, file))?.read_to_end(buf)?;
-        let sidecar = fs::read(self.crc_path(disk, file))
-            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "checksum sidecar missing"))?;
-        let stored: [u8; 4] = sidecar
-            .as_slice()
-            .try_into()
+        let path = self.data_path(disk, file)?;
+        fs::File::open(&path)?.read_to_end(buf)?;
+        let mut stored = [0u8; 4];
+        fs::File::open(sidecar(path))
+            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "checksum sidecar missing"))?
+            .read_exact(&mut stored)
             .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "checksum sidecar damaged"))?;
         if crc32(buf) != u32::from_le_bytes(stored) {
             return Err(io::Error::new(
@@ -169,7 +183,7 @@ impl FileStore {
         let mut f = fs::OpenOptions::new()
             .read(true)
             .write(true)
-            .open(self.data_path(disk, file))?;
+            .open(self.data_path(disk, file)?)?;
         let mut byte = [0u8; 1];
         f.seek(SeekFrom::Start(offset))?;
         f.read_exact(&mut byte)?;
@@ -204,8 +218,8 @@ impl FileStore {
 
     /// Overwrites a file on a data disk with client-supplied data.
     pub fn write_data(&self, disk: usize, file: u32, data: &[u8]) -> io::Result<()> {
-        assert!(disk < self.data_disks, "disk {disk} out of range");
-        let mut f = fs::File::create(self.data_path(disk, file))?;
+        assert!(disk < self.disks.len(), "disk {disk} out of range");
+        let mut f = fs::File::create(self.data_path(disk, file)?)?;
         f.write_all(data)?;
         self.write_crc(disk, file, data)
     }
@@ -231,7 +245,7 @@ impl FileStore {
 
     /// Size of a file on a data disk, if present.
     pub fn data_size(&self, disk: usize, file: u32) -> Option<u64> {
-        fs::metadata(self.data_path(disk, file))
+        fs::metadata(self.data_path(disk, file).ok()?)
             .ok()
             .map(|m| m.len())
     }
@@ -413,8 +427,35 @@ mod tests {
     fn missing_sidecar_is_invalid_data() -> io::Result<()> {
         let store = FileStore::create(tmp(), 1)?;
         store.create_file(0, 6, 128)?;
-        fs::remove_file(store.crc_path(0, 6))?;
+        fs::remove_file(store.crc_path(0, 6)?)?;
         expect_invalid(store.read_data(0, 6), "read without sidecar")?;
+        let _ = fs::remove_dir_all(store.root());
+        Ok(())
+    }
+
+    #[test]
+    fn short_sidecar_is_invalid_data() -> io::Result<()> {
+        let store = FileStore::create(tmp(), 1)?;
+        store.create_file(0, 6, 128)?;
+        fs::write(store.crc_path(0, 6)?, [1, 2, 3])?;
+        expect_invalid(store.read_data(0, 6), "read with a 3-byte sidecar")?;
+        let _ = fs::remove_dir_all(store.root());
+        Ok(())
+    }
+
+    #[test]
+    fn paths_name_the_disk_and_file() -> io::Result<()> {
+        let store = FileStore::create(tmp(), 2)?;
+        let data = store.data_path(1, 42)?;
+        assert_eq!(data, store.root().join("disk1").join("f00000042"));
+        let capacity = data.capacity();
+        let crc = sidecar(data);
+        assert_eq!(crc, store.root().join("disk1").join("f00000042.crc"));
+        assert_eq!(
+            crc.capacity(),
+            capacity,
+            "the sidecar path reuses its buffer"
+        );
         let _ = fs::remove_dir_all(store.root());
         Ok(())
     }
@@ -447,6 +488,8 @@ mod tests {
     fn missing_file_is_io_error() -> io::Result<()> {
         let store = FileStore::create(tmp(), 1)?;
         assert!(store.read_data(0, 999).is_err());
+        assert!(store.read_data(1, 0).is_err(), "a disk the store lacks");
+        assert_eq!(store.data_size(1, 0), None);
         assert!(store.read_buffer(999).is_err());
         let _ = fs::remove_dir_all(store.root());
         Ok(())
