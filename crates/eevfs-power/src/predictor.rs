@@ -199,11 +199,6 @@ impl EwmaIdleWindow {
             est_us: None,
         }
     }
-
-    /// The current estimate, microseconds.
-    pub fn estimate_us(&self) -> Option<f64> {
-        self.est_us
-    }
 }
 
 impl IdlePredictor for EwmaIdleWindow {

@@ -7,14 +7,19 @@
 //! deterministic sample — the TinyLFU-style trick that keeps metadata
 //! O(resident set) while resisting scan pollution.
 //!
-//! All state lives in `BTreeMap`s keyed by file id and a logical tick
-//! counter, so iteration order — and therefore eviction order — is
-//! deterministic across runs and platforms.
-
-use std::collections::BTreeMap;
+//! Every tier operation sits on the simulator's read path, so each is
+//! constant-time (up to `SampledLfu`'s sorted resident list, one
+//! `memmove` per admit and eviction). Files are found through
+//! [`IntMap`]s, hashed indexes whose iteration order no decision reads,
+//! so eviction order is still a pure function of the operation stream:
+//! `Lru` evicts the head of an intrusive recency list (the entry
+//! touched least recently, since every touch moves its entry to the
+//! tail), and `SampledLfu` draws its victim sample by index from a
+//! resident list kept sorted by file id and breaks ties on the unique
+//! (frequency, last touch, file) key.
 
 use serde::{Deserialize, Serialize};
-use sim_core::{SimDuration, SimRng};
+use sim_core::{IntMap, SimDuration, SimRng};
 
 /// A capacity-bounded file cache with pluggable admission/eviction.
 ///
@@ -48,23 +53,41 @@ pub trait CacheTier: std::fmt::Debug + Send {
     fn evictions(&self) -> u64;
 }
 
+/// End-of-list marker for [`Lru`]'s slot links.
+const NIL: u32 = u32::MAX;
+
+/// One [`Lru`] slab slot: a resident entry and its recency-list links,
+/// or, while free, a link in the free list (through `next`).
 #[derive(Debug, Clone, Copy)]
-struct Entry {
+struct Slot {
+    file: u32,
     bytes: u64,
-    /// Logical timestamp of the last touch (admit or hit).
-    touched: u64,
+    /// Next-colder entry, or [`NIL`] at the head.
+    prev: u32,
+    /// Next-hotter entry, or [`NIL`] at the tail.
+    next: u32,
 }
 
 /// Least-recently-used eviction over a deterministic recency order.
+///
+/// Entries live in a slab of slots linked into a doubly-linked recency
+/// list, coldest at the head; a hashed index maps each file to its slot.
+/// A touch moves the entry to the tail, an eviction pops the head, and
+/// freed slots are reused, so no operation allocates once the slab has
+/// grown to the largest resident set.
 #[derive(Debug, Clone)]
 pub struct Lru {
     capacity: u64,
     used: u64,
-    tick: u64,
-    entries: BTreeMap<u32, Entry>,
-    /// Recency index: (touch tick, file) → file. Ticks are unique, so the
-    /// first key is always the coldest entry.
-    order: BTreeMap<(u64, u32), u32>,
+    slots: Vec<Slot>,
+    /// File → slot of every resident entry.
+    index: IntMap<u32, u32>,
+    /// Coldest entry.
+    head: u32,
+    /// Hottest entry.
+    tail: u32,
+    /// First free slot, chained through `Slot::next`.
+    free: u32,
     hits: u64,
     misses: u64,
     evictions: u64,
@@ -76,31 +99,63 @@ impl Lru {
         Lru {
             capacity,
             used: 0,
-            tick: 0,
-            entries: BTreeMap::new(),
-            order: BTreeMap::new(),
+            slots: Vec::new(),
+            index: IntMap::default(),
+            head: NIL,
+            tail: NIL,
+            free: NIL,
             hits: 0,
             misses: 0,
             evictions: 0,
         }
     }
 
-    fn touch(&mut self, file: u32) {
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some(e) = self.entries.get_mut(&file) {
-            self.order.remove(&(e.touched, file));
-            e.touched = tick;
-            self.order.insert((tick, file), file);
+    fn unlink(&mut self, s: u32) {
+        let Slot { prev, next, .. } = self.slots[s as usize];
+        match prev {
+            NIL => self.head = next,
+            p => self.slots[p as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.slots[n as usize].prev = prev,
         }
     }
 
+    fn push_hottest(&mut self, s: u32) {
+        let slot = &mut self.slots[s as usize];
+        slot.prev = self.tail;
+        slot.next = NIL;
+        match self.tail {
+            NIL => self.head = s,
+            t => self.slots[t as usize].next = s,
+        }
+        self.tail = s;
+    }
+
+    /// Makes the entry in slot `s` the most recently used.
+    fn touch(&mut self, s: u32) {
+        if s != self.tail {
+            self.unlink(s);
+            self.push_hottest(s);
+        }
+    }
+
+    /// Unlinks slot `s`, returns it to the free list and releases its
+    /// bytes. The caller has already dropped it from `index`.
+    fn release(&mut self, s: u32) {
+        self.unlink(s);
+        let slot = &mut self.slots[s as usize];
+        self.used -= slot.bytes;
+        slot.next = self.free;
+        self.free = s;
+    }
+
     fn evict_coldest(&mut self) {
-        if let Some((&key, &file)) = self.order.iter().next() {
-            self.order.remove(&key);
-            if let Some(e) = self.entries.remove(&file) {
-                self.used -= e.bytes;
-            }
+        let s = self.head;
+        if s != NIL {
+            self.index.remove(&self.slots[s as usize].file);
+            self.release(s);
             self.evictions += 1;
         }
     }
@@ -112,9 +167,9 @@ impl CacheTier for Lru {
     }
 
     fn lookup(&mut self, file: u32) -> bool {
-        if self.entries.contains_key(&file) {
+        if let Some(&s) = self.index.get(&file) {
             self.hits += 1;
-            self.touch(file);
+            self.touch(s);
             true
         } else {
             self.misses += 1;
@@ -126,34 +181,43 @@ impl CacheTier for Lru {
         if bytes > self.capacity {
             return;
         }
-        if self.entries.contains_key(&file) {
-            self.touch(file);
+        if let Some(&s) = self.index.get(&file) {
+            self.touch(s);
             return;
         }
         while self.used + bytes > self.capacity {
             self.evict_coldest();
         }
-        self.tick += 1;
-        self.entries.insert(
+        let slot = Slot {
             file,
-            Entry {
-                bytes,
-                touched: self.tick,
-            },
-        );
-        self.order.insert((self.tick, file), file);
+            bytes,
+            prev: NIL,
+            next: NIL,
+        };
+        let s = match self.free {
+            NIL => {
+                self.slots.push(slot);
+                (self.slots.len() - 1) as u32
+            }
+            s => {
+                self.free = self.slots[s as usize].next;
+                self.slots[s as usize] = slot;
+                s
+            }
+        };
+        self.push_hottest(s);
+        self.index.insert(file, s);
         self.used += bytes;
     }
 
     fn invalidate(&mut self, file: u32) {
-        if let Some(e) = self.entries.remove(&file) {
-            self.order.remove(&(e.touched, file));
-            self.used -= e.bytes;
+        if let Some(s) = self.index.remove(&file) {
+            self.release(s);
         }
     }
 
     fn contains(&self, file: u32) -> bool {
-        self.entries.contains_key(&file)
+        self.index.contains_key(&file)
     }
 
     fn used_bytes(&self) -> u64 {
@@ -177,6 +241,13 @@ impl CacheTier for Lru {
     }
 }
 
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    bytes: u64,
+    /// Logical timestamp of the last touch (admit or hit).
+    touched: u64,
+}
+
 /// Sampled least-frequently-used eviction with periodic aging.
 ///
 /// Each victim search draws a deterministic sample of resident entries
@@ -191,9 +262,12 @@ pub struct SampledLfu {
     tick: u64,
     sample: usize,
     rng: SimRng,
-    entries: BTreeMap<u32, Entry>,
-    /// Access-frequency estimate per resident file.
-    freq: BTreeMap<u32, u64>,
+    entries: IntMap<u32, Entry>,
+    /// Resident files in ascending id order: the list victim samples
+    /// index into.
+    resident: Vec<u32>,
+    /// Access-frequency estimate per file looked up or resident.
+    freq: IntMap<u32, u64>,
     hits: u64,
     misses: u64,
     evictions: u64,
@@ -212,8 +286,9 @@ impl SampledLfu {
             tick: 0,
             sample: sample.max(1),
             rng: SimRng::seed_from_u64(seed),
-            entries: BTreeMap::new(),
-            freq: BTreeMap::new(),
+            entries: IntMap::default(),
+            resident: Vec::new(),
+            freq: IntMap::default(),
             hits: 0,
             misses: 0,
             evictions: 0,
@@ -234,11 +309,22 @@ impl SampledLfu {
         }
     }
 
+    /// Drops resident `file`'s entry, frequency and resident-list slot.
+    fn remove(&mut self, file: u32) {
+        if let Some(e) = self.entries.remove(&file) {
+            self.used -= e.bytes;
+            if let Ok(i) = self.resident.binary_search(&file) {
+                self.resident.remove(i);
+            }
+        }
+        self.freq.remove(&file);
+    }
+
     fn evict_victim(&mut self) {
-        if self.entries.is_empty() {
+        let files = &self.resident;
+        if files.is_empty() {
             return;
         }
-        let files: Vec<u32> = self.entries.keys().copied().collect();
         let n = files.len().min(self.sample);
         // Deterministic sample: n independent index draws (duplicates
         // only shrink the effective sample, never bias the victim).
@@ -248,15 +334,12 @@ impl SampledLfu {
             let f = self.freq.get(&file).copied().unwrap_or(0);
             let touched = self.entries[&file].touched;
             let key = (f, touched, file);
-            if victim.is_none() || key < victim.unwrap() {
+            if victim.is_none_or(|v| key < v) {
                 victim = Some(key);
             }
         }
         if let Some((_, _, file)) = victim {
-            if let Some(e) = self.entries.remove(&file) {
-                self.used -= e.bytes;
-            }
-            self.freq.remove(&file);
+            self.remove(file);
             self.evictions += 1;
         }
     }
@@ -300,14 +383,14 @@ impl CacheTier for SampledLfu {
                 touched: self.tick,
             },
         );
+        if let Err(i) = self.resident.binary_search(&file) {
+            self.resident.insert(i, file);
+        }
         self.used += bytes;
     }
 
     fn invalidate(&mut self, file: u32) {
-        if let Some(e) = self.entries.remove(&file) {
-            self.used -= e.bytes;
-        }
-        self.freq.remove(&file);
+        self.remove(file);
     }
 
     fn contains(&self, file: u32) -> bool {

@@ -284,6 +284,19 @@ impl NodeState {
         for rec in &replayed.records {
             match *rec {
                 JournalRecord::Create { file, size, disk } => {
+                    // `CreateFile` refuses such a disk, so a record naming
+                    // one is damage the CRC did not catch; serving it would
+                    // index past the node's data disks.
+                    if disk as usize >= self.store.data_disks() {
+                        return Err(std::io::Error::new(
+                            std::io::ErrorKind::InvalidData,
+                            format!(
+                                "journal creates file {file} on data disk {disk}, \
+                                 but the node has {}",
+                                self.store.data_disks()
+                            ),
+                        ));
+                    }
                     self.disk_of_file.insert(file, disk as usize);
                     self.size_of_file.insert(file, size);
                 }
@@ -1141,6 +1154,33 @@ mod tests {
         rpc(&mut ctl, &Message::Shutdown);
         node.join();
         let _ = std::fs::remove_dir_all(root);
+    }
+
+    #[test]
+    fn replay_rejects_a_create_on_a_disk_the_node_lacks() {
+        let cfg = test_cfg("journal-bad-disk");
+        std::fs::create_dir_all(&cfg.root).expect("node root");
+        // CRC-valid records: the second names data disk 2 of a 2-disk node.
+        let bytes = journal::encode(&[
+            JournalRecord::Create {
+                file: 1,
+                size: 1024,
+                disk: 0,
+            },
+            JournalRecord::Create {
+                file: 2,
+                size: 1024,
+                disk: 2,
+            },
+        ]);
+        assert_eq!(journal::replay(&bytes).records.len(), 2, "records intact");
+        std::fs::write(cfg.root.join("journal.log"), bytes).expect("journal");
+        let err = NodeDaemon::spawn(cfg.clone())
+            .err()
+            .expect("boot over the journal must fail");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("data disk 2"), "{err}");
+        let _ = std::fs::remove_dir_all(cfg.root);
     }
 
     #[test]

@@ -11,8 +11,7 @@
 //! entries are pinned (the paper re-plans prefetch contents from
 //! popularity, it does not evict them under read traffic).
 
-use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use sim_core::IntMap;
 use workload::record::FileId;
 
 /// Why an insert was rejected.
@@ -25,7 +24,7 @@ pub enum InsertError {
 }
 
 /// A resident entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Entry {
     size: u64,
     /// Pinned entries (prefetched copies) are never LRU-evicted.
@@ -37,11 +36,15 @@ struct Entry {
 }
 
 /// Contents of one node's buffer disk.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// Entries sit in a hashed index probed on every read; no result depends
+/// on its iteration order ([`Self::dirty_files`] sorts, and LRU eviction
+/// picks by a unique key).
+#[derive(Debug, Clone)]
 pub struct BufferCatalog {
     capacity: u64,
     used: u64,
-    entries: HashMap<FileId, Entry>,
+    entries: IntMap<FileId, Entry>,
     clock: u64,
     hits: u64,
     misses: u64,
@@ -54,7 +57,7 @@ impl BufferCatalog {
         BufferCatalog {
             capacity,
             used: 0,
-            entries: HashMap::new(),
+            entries: IntMap::default(),
             clock: 0,
             hits: 0,
             misses: 0,

@@ -113,33 +113,33 @@ pub fn select_replica(
     disk_awake: impl Fn(usize, usize) -> bool,
     tiebreak: u64,
 ) -> Option<Selected> {
-    let healthy: Vec<(usize, usize, usize)> = copies
-        .iter()
-        .enumerate()
-        .filter(|&(_, &(n, d))| copy_ok(n as usize, d as usize))
-        .map(|(i, &(n, d))| (i, n as usize, d as usize))
-        .collect();
-    if healthy.is_empty() {
-        return None;
-    }
-    let pick = |&(replica, node, disk): &(usize, usize, usize), choice| Selected {
+    // Healthy copies in placement order, as (replica, node, disk). The
+    // closures are pure, so walking the list again is the same as
+    // keeping it, and no route allocates.
+    let healthy = || {
+        copies.iter().enumerate().filter_map(|(i, &(n, d))| {
+            let (n, d) = (n as usize, d as usize);
+            copy_ok(n, d).then_some((i, n, d))
+        })
+    };
+    let first = healthy().next()?;
+    let pick = |(replica, node, disk): (usize, usize, usize), choice| Selected {
         replica,
         node,
         disk,
         choice,
     };
-    match policy {
-        ReplicaSelection::Primary => {
-            let c = &healthy[0];
-            let choice = if buffered(c.1) {
-                Choice::Buffered
-            } else if disk_awake(c.1, c.2) {
-                Choice::Warm
-            } else {
-                Choice::Cold
-            };
-            Some(pick(c, choice))
+    let classify = |(_, node, disk): (usize, usize, usize)| {
+        if buffered(node) {
+            Choice::Buffered
+        } else if disk_awake(node, disk) {
+            Choice::Warm
+        } else {
+            Choice::Cold
         }
+    };
+    match policy {
+        ReplicaSelection::Primary => Some(pick(first, classify(first))),
         ReplicaSelection::RandomHealthy => {
             // SplitMix64 finaliser over the caller's tiebreak: decorrelates
             // consecutive request indices without any shared RNG state.
@@ -147,24 +147,25 @@ pub fn select_replica(
             z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
             z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
             z ^= z >> 31;
-            let c = &healthy[(z % healthy.len() as u64) as usize];
-            let choice = if buffered(c.1) {
-                Choice::Buffered
-            } else if disk_awake(c.1, c.2) {
-                Choice::Warm
-            } else {
-                Choice::Cold
-            };
-            Some(pick(c, choice))
+            let c = healthy().nth((z % healthy().count() as u64) as usize)?;
+            Some(pick(c, classify(c)))
         }
         ReplicaSelection::EnergyAware => {
-            if let Some(c) = healthy.iter().find(|&&(_, n, _)| buffered(n)) {
-                return Some(pick(c, Choice::Buffered));
+            // The first buffered copy wins outright; failing that, the
+            // first awake one; failing that, the first healthy one.
+            let mut warm = None;
+            for c in healthy() {
+                if buffered(c.1) {
+                    return Some(pick(c, Choice::Buffered));
+                }
+                if warm.is_none() && disk_awake(c.1, c.2) {
+                    warm = Some(c);
+                }
             }
-            if let Some(c) = healthy.iter().find(|&&(_, n, d)| disk_awake(n, d)) {
-                return Some(pick(c, Choice::Warm));
-            }
-            Some(pick(&healthy[0], Choice::Cold))
+            Some(match warm {
+                Some(c) => pick(c, Choice::Warm),
+                None => pick(first, Choice::Cold),
+            })
         }
     }
 }
@@ -174,6 +175,7 @@ mod tests {
     use super::*;
     use crate::config::PlacementPolicy;
     use crate::placement::place;
+    use proptest::prelude::*;
     use workload::popularity::PopularityTable;
 
     fn plan(files: usize, nodes: usize, disks: usize) -> PlacementPlan {
@@ -289,6 +291,105 @@ mod tests {
             0,
         )
         .is_none());
+    }
+
+    /// The selector as it was when it collected the healthy copies into
+    /// a `Vec` on every call: the reference the allocation-free one must
+    /// match exactly.
+    fn collecting_reference(
+        copies: &[(u32, u32)],
+        policy: ReplicaSelection,
+        copy_ok: impl Fn(usize, usize) -> bool,
+        buffered: impl Fn(usize) -> bool,
+        disk_awake: impl Fn(usize, usize) -> bool,
+        tiebreak: u64,
+    ) -> Option<Selected> {
+        let healthy: Vec<(usize, usize, usize)> = copies
+            .iter()
+            .enumerate()
+            .filter(|&(_, &(n, d))| copy_ok(n as usize, d as usize))
+            .map(|(i, &(n, d))| (i, n as usize, d as usize))
+            .collect();
+        if healthy.is_empty() {
+            return None;
+        }
+        let pick = |&(replica, node, disk): &(usize, usize, usize), choice| Selected {
+            replica,
+            node,
+            disk,
+            choice,
+        };
+        let classify = |c: &(usize, usize, usize)| {
+            if buffered(c.1) {
+                Choice::Buffered
+            } else if disk_awake(c.1, c.2) {
+                Choice::Warm
+            } else {
+                Choice::Cold
+            }
+        };
+        match policy {
+            ReplicaSelection::Primary => Some(pick(&healthy[0], classify(&healthy[0]))),
+            ReplicaSelection::RandomHealthy => {
+                let mut z = tiebreak.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                z ^= z >> 31;
+                let c = &healthy[(z % healthy.len() as u64) as usize];
+                Some(pick(c, classify(c)))
+            }
+            ReplicaSelection::EnergyAware => {
+                if let Some(c) = healthy.iter().find(|&&(_, n, _)| buffered(n)) {
+                    return Some(pick(c, Choice::Buffered));
+                }
+                if let Some(c) = healthy.iter().find(|&&(_, n, d)| disk_awake(n, d)) {
+                    return Some(pick(c, Choice::Warm));
+                }
+                Some(pick(&healthy[0], Choice::Cold))
+            }
+        }
+    }
+
+    proptest! {
+        /// Up to 40 copies (more than any small inline buffer holds), with
+        /// random health, buffer residency and spinning disks: every policy
+        /// picks exactly the copy and reason the collecting selector does.
+        #[test]
+        fn selector_matches_the_collecting_reference(
+            n_copies in 1usize..40,
+            ok in any::<u64>(),
+            buf in any::<u64>(),
+            awake in any::<u64>(),
+            tiebreak in any::<u64>(),
+        ) {
+            // Copy i lives on node i, disk i % 3; each mask bit is a node.
+            let copies: Vec<(u32, u32)> =
+                (0..n_copies as u32).map(|i| (i, i % 3)).collect();
+            let bit = |mask: u64, n: usize| mask >> n & 1 == 1;
+            for policy in [
+                ReplicaSelection::Primary,
+                ReplicaSelection::RandomHealthy,
+                ReplicaSelection::EnergyAware,
+            ] {
+                let got = select_replica(
+                    &copies,
+                    policy,
+                    |n, _| bit(ok, n),
+                    |n| bit(buf, n),
+                    |n, _| bit(awake, n),
+                    tiebreak,
+                );
+                let want = collecting_reference(
+                    &copies,
+                    policy,
+                    |n, _| bit(ok, n),
+                    |n| bit(buf, n),
+                    |n, _| bit(awake, n),
+                    tiebreak,
+                );
+                prop_assert_eq!(got, want, "{:?}", policy);
+            }
+        }
     }
 
     #[test]

@@ -14,6 +14,8 @@
 //!   (Poisson with arbitrarily large mean, Zipf, exponential, log-normal).
 //! * [`stats`] — online summary statistics, percentiles, and histograms.
 //! * [`series`] — append-only time series used by the energy meters.
+//! * [`hash`] — a fixed, fast hasher for the integer-keyed maps on the
+//!   simulator's per-request path.
 //!
 //! Everything here is deliberately free of wall-clock time, threads, and
 //! global state: a simulation is a pure function of its inputs and seed.
@@ -22,6 +24,7 @@
 
 pub mod engine;
 pub mod event;
+pub mod hash;
 pub mod rng;
 pub mod series;
 pub mod stats;
@@ -29,6 +32,7 @@ pub mod time;
 
 pub use engine::{Engine, Model, Observer};
 pub use event::EventQueue;
+pub use hash::IntMap;
 pub use rng::SimRng;
 pub use series::TimeSeries;
 pub use stats::{linear_regression, Histogram, OnlineStats};
