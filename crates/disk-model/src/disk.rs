@@ -53,8 +53,6 @@ pub struct Disk {
     busy_until: SimTime,
     phase: Phase,
     generation: u64,
-    requests_served: u64,
-    bytes_served: u64,
 }
 
 impl Disk {
@@ -65,8 +63,6 @@ impl Disk {
             busy_until: SimTime::ZERO,
             phase: Phase::Spun,
             generation: 0,
-            requests_served: 0,
-            bytes_served: 0,
         }
     }
 
@@ -103,16 +99,6 @@ impl Disk {
         self.meter.transitions().spin_downs
     }
 
-    /// Number of requests fully submitted.
-    pub fn requests_served(&self) -> u64 {
-        self.requests_served
-    }
-
-    /// Total bytes moved.
-    pub fn bytes_served(&self) -> u64 {
-        self.bytes_served
-    }
-
     /// Queue tail: when everything submitted so far will be done.
     pub fn busy_until(&self) -> SimTime {
         self.busy_until
@@ -123,12 +109,6 @@ impl Disk {
     /// pending timer.
     pub fn generation(&self) -> u64 {
         self.generation
-    }
-
-    /// True when the platters are spinning or winding down has not begun.
-    pub fn is_spun(&self, now: SimTime) -> bool {
-        let _ = now;
-        matches!(self.phase, Phase::Spun)
     }
 
     /// True when the drive is spun and has no queued work at `now`.
@@ -180,8 +160,6 @@ impl Disk {
         self.meter.set_state(finish, PowerState::Idle);
         self.busy_until = finish;
         self.phase = Phase::Spun;
-        self.requests_served += 1;
-        self.bytes_served += bytes;
         CompletionInfo {
             start,
             finish,
@@ -255,8 +233,6 @@ mod tests {
         assert_eq!(c2.start, secs(1));
         assert_eq!(c2.finish, secs(2));
         assert_eq!(c2.waited, SimDuration::from_secs(1));
-        assert_eq!(d.requests_served(), 2);
-        assert_eq!(d.bytes_served(), 116 * MB);
     }
 
     #[test]
@@ -283,7 +259,7 @@ mod tests {
         let mut d = disk();
         d.submit(secs(0), 58 * MB, AccessKind::Sequential); // busy until 1 s
         assert!(!d.sleep(SimTime::from_millis(500)));
-        assert!(d.is_spun(SimTime::from_millis(500)));
+        assert!(!d.is_sleeping());
         assert!(d.sleep(secs(1)), "idle at the queue tail");
     }
 

@@ -152,16 +152,6 @@ impl EnergyMeter {
         self.joules_by_state.iter().sum()
     }
 
-    /// Energy consumed in one state, joules.
-    pub fn joules_in(&self, state: PowerState) -> f64 {
-        self.joules_by_state[state.index()]
-    }
-
-    /// Time spent in one state, seconds.
-    pub fn seconds_in(&self, state: PowerState) -> f64 {
-        self.time_by_state_us[state.index()] as f64 / 1e6
-    }
-
     /// Fraction of elapsed time spent in Standby — the "sleep fraction"
     /// EXPERIMENTS.md reports alongside energy.
     pub fn standby_fraction(&self) -> f64 {
@@ -190,13 +180,6 @@ impl EnergyMeter {
             self.trace.push(self.last, self.total_joules());
         }
     }
-
-    /// Hypothetical energy had the drive idled from 0 to `t` with no
-    /// requests and no power management — the paper's implicit baseline
-    /// when it says prefetching "keeps disks in the standby state".
-    pub fn idle_baseline_joules(&self, t: SimTime) -> f64 {
-        self.spec.p_idle_w * t.as_secs_f64()
-    }
 }
 
 #[cfg(test)]
@@ -218,7 +201,8 @@ mod tests {
         let expect = DiskSpec::ata133_type1().p_idle_w * 100.0;
         assert!((m.total_joules() - expect).abs() < 1e-9);
         assert_eq!(m.transitions().total(), 0);
-        assert!((m.seconds_in(PowerState::Idle) - 100.0).abs() < 1e-9);
+        let idle_us = m.time_by_state_us[PowerState::Idle.index()];
+        assert_eq!(idle_us, 100_000_000);
     }
 
     #[test]
@@ -230,7 +214,8 @@ mod tests {
         m.advance(secs(30));
         let expect = spec.p_idle_w * 20.0 + spec.p_active_w * 10.0;
         assert!((m.total_joules() - expect).abs() < 1e-9);
-        assert!((m.joules_in(PowerState::Active) - spec.p_active_w * 10.0).abs() < 1e-9);
+        let active_j = m.joules_by_state[PowerState::Active.index()];
+        assert!((active_j - spec.p_active_w * 10.0).abs() < 1e-9);
     }
 
     #[test]
@@ -268,7 +253,9 @@ mod tests {
         m.set_state(secs(2), PowerState::Standby);
         m.set_state(secs(598), PowerState::SpinningUp);
         m.set_state(secs(600), PowerState::Idle);
-        assert!(m.total_joules() < m.idle_baseline_joules(secs(600)));
+        // Idling the whole 600 s, with no power management.
+        let idle_baseline = DiskSpec::ata133_type1().p_idle_w * 600.0;
+        assert!(m.total_joules() < idle_baseline);
     }
 
     #[test]

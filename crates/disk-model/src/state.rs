@@ -47,17 +47,6 @@ impl PowerState {
         }
     }
 
-    /// True when the platters are spinning at full speed (the drive can
-    /// accept a request without a spin-up delay).
-    pub fn is_spun(self) -> bool {
-        matches!(self, PowerState::Active | PowerState::Idle)
-    }
-
-    /// True during a timed spin transition.
-    pub fn is_transitioning(self) -> bool {
-        matches!(self, PowerState::SpinningUp | PowerState::SpinningDown)
-    }
-
     /// Whether a direct move `self -> to` is physically meaningful.
     ///
     /// The model allows: Active<->Idle freely (request boundaries),
@@ -110,15 +99,6 @@ mod tests {
     }
 
     #[test]
-    fn spun_classification() {
-        assert!(Active.is_spun());
-        assert!(Idle.is_spun());
-        assert!(!Standby.is_spun());
-        assert!(!SpinningUp.is_spun());
-        assert!(!SpinningDown.is_spun());
-    }
-
-    #[test]
     fn transition_legality() {
         assert!(Idle.can_transition_to(SpinningDown));
         assert!(SpinningDown.can_transition_to(Standby));
@@ -154,15 +134,6 @@ mod tests {
                 "{s} -> {s} must not be a transition"
             );
         }
-    }
-
-    #[test]
-    fn transitioning_classification() {
-        assert!(SpinningUp.is_transitioning());
-        assert!(SpinningDown.is_transitioning());
-        assert!(!Active.is_transitioning());
-        assert!(!Idle.is_transitioning());
-        assert!(!Standby.is_transitioning());
     }
 
     #[test]

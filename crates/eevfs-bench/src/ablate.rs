@@ -67,7 +67,7 @@ fn row(
 
 /// Idle threshold sweep (§VI-B: raising the threshold trades savings for
 /// fewer transitions).
-pub fn ablate_threshold(p: &SweepParams) -> Ablation {
+fn ablate_threshold(p: &SweepParams) -> Ablation {
     let cluster = ClusterSpec::paper_testbed();
     let trace = trace_default(p, 1000.0);
     let npf = run_cluster(&cluster, &EevfsConfig::paper_npf(), &trace);
@@ -94,7 +94,7 @@ pub fn ablate_threshold(p: &SweepParams) -> Ablation {
 }
 
 /// Application hints on/off (§IV-C).
-pub fn ablate_hints(p: &SweepParams) -> Ablation {
+fn ablate_hints(p: &SweepParams) -> Ablation {
     let cluster = ClusterSpec::paper_testbed();
     let trace = trace_default(p, 1000.0);
     let npf = run_cluster(&cluster, &EevfsConfig::paper_npf(), &trace);
@@ -127,7 +127,7 @@ pub fn ablate_hints(p: &SweepParams) -> Ablation {
 }
 
 /// Write-buffer area on/off (§III-C) under a mixed read/write workload.
-pub fn ablate_write_buffer(p: &SweepParams) -> Ablation {
+fn ablate_write_buffer(p: &SweepParams) -> Ablation {
     let cluster = ClusterSpec::paper_testbed();
     let trace = generate(&SyntheticSpec {
         requests: p.requests,
@@ -162,7 +162,7 @@ pub fn ablate_write_buffer(p: &SweepParams) -> Ablation {
 }
 
 /// Placement policies (§III-B vs naive vs PDC).
-pub fn ablate_placement(p: &SweepParams) -> Ablation {
+fn ablate_placement(p: &SweepParams) -> Ablation {
     let cluster = ClusterSpec::paper_testbed();
     let trace = trace_default(p, 1000.0);
     let npf = run_cluster(&cluster, &EevfsConfig::paper_npf(), &trace);
@@ -198,7 +198,7 @@ pub fn ablate_placement(p: &SweepParams) -> Ablation {
 }
 
 /// EEVFS prefetching vs MAID-style on-demand caching (§II "Disk as cache").
-pub fn ablate_maid(p: &SweepParams) -> Ablation {
+fn ablate_maid(p: &SweepParams) -> Ablation {
     let cluster = ClusterSpec::paper_testbed();
     let trace = trace_default(p, 100.0);
     let npf = run_cluster(&cluster, &EevfsConfig::paper_npf(), &trace);
@@ -238,7 +238,7 @@ pub fn ablate_maid(p: &SweepParams) -> Ablation {
 }
 
 /// Disks per node (§VII: savings should grow with more disks per node).
-pub fn ablate_scale(p: &SweepParams) -> Ablation {
+fn ablate_scale(p: &SweepParams) -> Ablation {
     let trace = trace_default(p, 1000.0);
     let mut rows = Vec::new();
     for disks in [1usize, 2, 4, 8] {
@@ -262,7 +262,7 @@ pub fn ablate_scale(p: &SweepParams) -> Ablation {
 
 /// Striping on/off (§VII future work: performance without losing the
 /// savings).
-pub fn ablate_striping(p: &SweepParams) -> Ablation {
+fn ablate_striping(p: &SweepParams) -> Ablation {
     let cluster = ClusterSpec::paper_testbed();
     let trace = trace_default(p, 1000.0);
     let npf = run_cluster(&cluster, &EevfsConfig::paper_npf(), &trace);
@@ -296,7 +296,7 @@ pub fn ablate_striping(p: &SweepParams) -> Ablation {
 
 /// Drive technology (§II related work): stock ATA vs a multi-speed
 /// (DRPM-emulated) drive vs a modern nearline drive, all under EEVFS-PF.
-pub fn ablate_disk_technology(p: &SweepParams) -> Ablation {
+fn ablate_disk_technology(p: &SweepParams) -> Ablation {
     use disk_model::DiskSpec;
     let trace = trace_default(p, 1000.0);
     let mut rows = Vec::new();
@@ -326,7 +326,7 @@ pub fn ablate_disk_technology(p: &SweepParams) -> Ablation {
 
 /// Open-loop vs closed-loop replay (the prototype's replayer feeds
 /// response time back into arrival times; the load generator does not).
-pub fn ablate_arrival_mode(p: &SweepParams) -> Ablation {
+fn ablate_arrival_mode(p: &SweepParams) -> Ablation {
     use eevfs::config::ArrivalMode;
     let cluster = ClusterSpec::paper_testbed();
     let mut rows = Vec::new();
@@ -618,7 +618,7 @@ pub fn ablate_scrub(runner: &Runner, p: &SweepParams) -> Result<Ablation, GridEr
 }
 
 /// The three retry policies the resilience grid compares.
-pub fn resilience_policies(seed: u64) -> Vec<(&'static str, RpcPolicy)> {
+fn resilience_policies(seed: u64) -> Vec<(&'static str, RpcPolicy)> {
     let deadline = SimDuration::from_secs(60);
     let per_try = SimDuration::from_secs(3);
     vec![

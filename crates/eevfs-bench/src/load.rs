@@ -32,7 +32,7 @@ pub const GRID_MAX_INFLIGHT: u32 = 8;
 /// Closed-loop stream counts swept by the sim grid (the offered-load
 /// axis; the server serialises requests, so streams ≫ the admission cap
 /// is deep saturation).
-pub const GRID_STREAMS: [u32; 6] = [1, 2, 4, 8, 16, 32];
+const GRID_STREAMS: [u32; 6] = [1, 2, 4, 8, 16, 32];
 
 /// One point on the sim-side throughput-vs-offered-load curve.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -328,12 +328,12 @@ pub fn deviation_cells(runner: &Runner, p: &SweepParams) -> Vec<DeviationCell> {
 
 /// Client counts the runtime campaign sweeps; the cap is
 /// [`RUNTIME_MAX_INFLIGHT`], so the top step is 4× saturation.
-pub const RUNTIME_CLIENTS: [usize; 3] = [2, 4, 8];
+const RUNTIME_CLIENTS: [usize; 3] = [2, 4, 8];
 /// Admission cap of the runtime campaign's cluster.
-pub const RUNTIME_MAX_INFLIGHT: usize = 2;
+const RUNTIME_MAX_INFLIGHT: usize = 2;
 
 /// Drives the loopback prototype with the closed-loop load generator at
-/// each client count in [`RUNTIME_CLIENTS`], a fresh cluster per point.
+/// each client count in `RUNTIME_CLIENTS`, a fresh cluster per point.
 /// Wall-clock numbers are measurements, not replays — only the ledgers
 /// are deterministic.
 pub fn run_runtime_campaign(requests_per_client: usize) -> Result<Vec<RuntimePoint>, String> {

@@ -50,7 +50,7 @@ impl PowerPoint {
 
 /// The predictors every sweep exercises: the paper's fixed threshold,
 /// the EWMA idle-window estimator, and the epsilon-greedy bandit.
-pub fn predictor_grid() -> Vec<PredictorConfig> {
+fn predictor_grid() -> Vec<PredictorConfig> {
     vec![
         PredictorConfig::FixedThreshold { threshold_s: 5.0 },
         PredictorConfig::EwmaIdleWindow {
@@ -65,7 +65,7 @@ pub fn predictor_grid() -> Vec<PredictorConfig> {
 /// baseline), a generous per-node DRAM LRU, and a small DRAM in front
 /// of a large SSD tier under sampled-LFU (the small DRAM evicts often,
 /// so reuse traffic actually reaches the SSD).
-pub fn tier_grid() -> Vec<TierConfig> {
+fn tier_grid() -> Vec<TierConfig> {
     vec![
         TierConfig::none(),
         TierConfig {

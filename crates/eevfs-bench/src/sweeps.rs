@@ -208,7 +208,7 @@ pub fn reference_grid() -> Vec<GridCell> {
 /// Runs one reference-grid cell: trace generation plus the PF and NPF
 /// simulations. Pure in `(cell, p)`, which is what lets the runner fan
 /// cells out in any order.
-pub fn run_grid_cell(cell: &GridCell, p: &SweepParams) -> ExperimentPoint {
+fn run_grid_cell(cell: &GridCell, p: &SweepParams) -> ExperimentPoint {
     let cluster = ClusterSpec::paper_testbed();
     let (spec, k) = match *cell {
         GridCell::DataSize(mb) => (

@@ -89,11 +89,6 @@ impl ChaosSchedule {
         (self.event_count(), self.requests, prob_milli)
     }
 
-    /// Horizon the schedule's plans were generated against.
-    pub fn horizon(&self) -> SimDuration {
-        horizon_for(self.requests)
-    }
-
     /// The RPC policy this schedule runs under, reconstructed from
     /// `policy_kind` and `seed`.
     pub fn rpc_policy(&self) -> RpcPolicy {

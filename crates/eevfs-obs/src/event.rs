@@ -12,10 +12,6 @@ use disk_model::PowerState;
 use serde::{Deserialize, Serialize};
 
 /// Event severity, ordered from chattiest to most urgent.
-///
-/// The [`Recorder`](crate::Recorder) drops events below its configured
-/// minimum, so high-volume bookkeeping (`Debug`) can be silenced without
-/// losing the power-management story (`Info`/`Warn`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum Severity {
     /// High-volume per-request/per-transition bookkeeping.
@@ -26,7 +22,7 @@ pub enum Severity {
     Warn,
 }
 
-/// Coarse event family, the unit of the recorder's kind filtering.
+/// Coarse event family, for per-family event counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Category {
     /// Request lifecycle: arrive, queue, serve, complete.
@@ -42,23 +38,6 @@ pub enum Category {
     /// Durability: corruption detection, scrub passes, journal replays,
     /// node restarts.
     Durability,
-}
-
-impl Category {
-    /// Number of categories, for sizing filter masks.
-    pub const COUNT: usize = 6;
-
-    /// Dense index of this category into tables sized [`Self::COUNT`].
-    pub fn index(self) -> usize {
-        match self {
-            Category::Request => 0,
-            Category::Disk => 1,
-            Category::Power => 2,
-            Category::Prefetch => 3,
-            Category::Rpc => 4,
-            Category::Durability => 5,
-        }
-    }
 }
 
 /// The typed payload of one trace event.
@@ -253,7 +232,7 @@ pub enum EventKind {
 }
 
 impl EventKind {
-    /// The family this event belongs to, for kind filtering.
+    /// The family this event belongs to.
     pub fn category(&self) -> Category {
         match self {
             EventKind::RequestArrive { .. }
@@ -348,24 +327,6 @@ pub struct TraceEvent {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn category_indices_are_dense() {
-        let cats = [
-            Category::Request,
-            Category::Disk,
-            Category::Power,
-            Category::Prefetch,
-            Category::Rpc,
-            Category::Durability,
-        ];
-        let mut seen = [false; Category::COUNT];
-        for c in cats {
-            assert!(!seen[c.index()]);
-            seen[c.index()] = true;
-        }
-        assert!(seen.iter().all(|&b| b));
-    }
 
     #[test]
     fn severity_orders_debug_below_warn() {

@@ -10,12 +10,12 @@
 //!   request arrive/queue/spinup-wait/serve/complete, disk
 //!   Active↔Idle↔Standby transitions, prefetch staging, power-manager
 //!   predicted-vs-realised idle windows, RPC send/retry/hedge/complete.
-//! * [`recorder`] — a bounded ring-buffer [`Recorder`] with severity and
-//!   category filtering and JSONL export that is **byte-identical across
-//!   same-seed runs** (the determinism contract is documented there).
-//! * [`metrics`] — a name-keyed [`MetricsRegistry`] of counters, gauges,
-//!   histograms, and time series, plus an interval [`Sampler`] that takes
-//!   periodic samples without perturbing the event queue.
+//! * [`recorder`] — a bounded ring-buffer [`Recorder`] with JSONL export
+//!   that is **byte-identical across same-seed runs** (the determinism
+//!   contract is documented there).
+//! * [`metrics`] — a name-keyed [`MetricsRegistry`] of counters and time
+//!   series, plus an interval [`Sampler`] that takes periodic samples
+//!   without perturbing the event queue.
 //! * [`timeline`] — the paper's Fig-2-style ASCII power/state timeline,
 //!   reconstructed from `DiskTransition` events.
 //! * [`prediction`] — [`PredictionTracker`]: scores every sleep decision's

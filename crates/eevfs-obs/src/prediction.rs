@@ -92,11 +92,6 @@ impl PredictionTracker {
             .collect()
     }
 
-    /// All closed samples, in close order.
-    pub fn samples(&self) -> &[PredictionSample] {
-        &self.samples
-    }
-
     /// The closed samples by value, in close order, dropping any window
     /// still open.
     pub fn into_samples(self) -> Vec<PredictionSample> {
@@ -194,7 +189,7 @@ mod tests {
         t.on_sleep(1, 2, secs(20), Some(dur(600)), dur(12));
         let closed = t.finish(secs(600));
         assert_eq!(closed.len(), 2);
-        assert_eq!(t.samples().len(), 2);
+        assert_eq!(t.samples.len(), 2);
         assert!(closed.iter().all(PredictionSample::paid_off));
         assert_eq!(t.into_samples(), closed);
     }

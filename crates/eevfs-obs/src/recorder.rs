@@ -19,28 +19,24 @@
 //! Capacity eviction (oldest first) is itself deterministic, so the
 //! contract survives overflow too.
 
-use crate::event::{Category, EventKind, Severity, TraceEvent};
+use crate::event::{EventKind, TraceEvent};
 use sim_core::SimTime;
 use std::collections::VecDeque;
 
 /// Most events [`Recorder::with_capacity`] reserves room for up front.
 const RESERVE_CAP: usize = 1 << 22;
 
-/// Bounded, filtering trace-event sink.
+/// Bounded trace-event sink.
 #[derive(Debug, Clone)]
 pub struct Recorder {
     events: VecDeque<TraceEvent>,
     capacity: usize,
     next_seq: u64,
-    min_severity: Severity,
-    mask: [bool; Category::COUNT],
     dropped: u64,
-    filtered: u64,
 }
 
 impl Recorder {
-    /// A recorder holding at most `capacity` events (oldest evicted first),
-    /// admitting every severity and category.
+    /// A recorder holding at most `capacity` events (oldest evicted first).
     ///
     /// The ring is reserved up front, up to 2²² events, rather
     /// than grown by doubling; only the pages events are written to become
@@ -51,31 +47,12 @@ impl Recorder {
             events: VecDeque::with_capacity(capacity.min(RESERVE_CAP)),
             capacity,
             next_seq: 0,
-            min_severity: Severity::Debug,
-            mask: [true; Category::COUNT],
             dropped: 0,
-            filtered: 0,
         }
     }
 
-    /// Rejects events below `min` at admission time.
-    pub fn set_min_severity(&mut self, min: Severity) {
-        self.min_severity = min;
-    }
-
-    /// Enables or disables one event category.
-    pub fn set_category(&mut self, cat: Category, enabled: bool) {
-        self.mask[cat.index()] = enabled;
-    }
-
-    /// Records one event at simulation time `at`, applying the severity and
-    /// category filters. Returns true when the event was admitted.
-    pub fn record(&mut self, at: SimTime, kind: EventKind) -> bool {
-        let sev = kind.severity();
-        if sev < self.min_severity || !self.mask[kind.category().index()] {
-            self.filtered += 1;
-            return false;
-        }
+    /// Records one event at simulation time `at`.
+    pub fn record(&mut self, at: SimTime, kind: EventKind) {
         if self.events.len() == self.capacity {
             self.events.pop_front();
             self.dropped += 1;
@@ -85,10 +62,9 @@ impl Recorder {
         self.events.push_back(TraceEvent {
             seq,
             at_us: at.as_micros(),
-            sev,
+            sev: kind.severity(),
             kind,
         });
-        true
     }
 
     /// Stably re-orders the buffer by `(at_us, seq)`.
@@ -129,11 +105,6 @@ impl Recorder {
     /// Events evicted by the capacity bound.
     pub fn dropped(&self) -> u64 {
         self.dropped
-    }
-
-    /// Events rejected by the severity/category filters.
-    pub fn filtered(&self) -> u64 {
-        self.filtered
     }
 
     /// Renders the buffer as JSON Lines: one event object per line,
@@ -184,37 +155,12 @@ mod tests {
     fn ring_buffer_evicts_oldest() {
         let mut r = Recorder::with_capacity(3);
         for i in 0..5 {
-            assert!(r.record(SimTime::from_micros(i), arrive(i)));
+            r.record(SimTime::from_micros(i), arrive(i));
         }
         assert_eq!(r.len(), 3);
         assert_eq!(r.dropped(), 2);
         let seqs: Vec<u64> = r.events().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn severity_filter_rejects_debug() {
-        let mut r = Recorder::with_capacity(16);
-        r.set_min_severity(Severity::Info);
-        assert!(!r.record(SimTime::ZERO, EventKind::RequestQueued { req: 0, node: 0 }));
-        assert!(r.record(SimTime::ZERO, arrive(0)));
-        assert_eq!(r.filtered(), 1);
-        assert_eq!(r.len(), 1);
-    }
-
-    #[test]
-    fn category_filter_rejects_disabled_family() {
-        let mut r = Recorder::with_capacity(16);
-        r.set_category(Category::Request, false);
-        assert!(!r.record(SimTime::ZERO, arrive(0)));
-        assert!(r.record(
-            SimTime::ZERO,
-            EventKind::PrefetchFile {
-                node: 0,
-                file: 9,
-                bytes: 1,
-            }
-        ));
     }
 
     #[test]

@@ -68,16 +68,6 @@ impl SpinBudget {
     pub fn denied(&self) -> u32 {
         self.denied
     }
-
-    /// The configured cap.
-    pub fn cap(&self) -> u32 {
-        self.cap
-    }
-
-    /// Whether the allowance is exhausted.
-    pub fn exhausted(&self) -> bool {
-        self.used >= self.cap
-    }
 }
 
 #[cfg(test)]
@@ -93,7 +83,6 @@ mod tests {
         assert!(!b.try_charge());
         assert_eq!(b.used(), 2);
         assert_eq!(b.denied(), 2);
-        assert!(b.exhausted());
     }
 
     #[test]

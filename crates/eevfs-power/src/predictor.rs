@@ -131,11 +131,6 @@ impl HintedThreshold {
             window: None,
         }
     }
-
-    /// Expected touches not yet arrived.
-    pub fn remaining(&self) -> usize {
-        self.touches.len() - self.cursor
-    }
 }
 
 impl IdlePredictor for HintedThreshold {
@@ -286,11 +281,6 @@ impl BanditThreshold {
         ]
     }
 
-    /// Mean observed reward per arm (reporting/tests).
-    pub fn arm_values(&self) -> &[f64] {
-        &self.value
-    }
-
     fn pick(&mut self) -> usize {
         if self.rng.uniform() < self.epsilon {
             return self.rng.index(self.arms.len());
@@ -425,10 +415,15 @@ mod tests {
         HintedThreshold::new(touches.iter().map(|&s| at(s)).collect(), secs(5))
     }
 
+    /// Expected touches not yet arrived.
+    fn remaining(p: &HintedThreshold) -> usize {
+        p.touches.len() - p.cursor
+    }
+
     #[test]
     fn hinted_cursor_walks_touches() {
         let mut p = hinted(&[1, 5, 20]);
-        assert_eq!(p.remaining(), 3);
+        assert_eq!(remaining(&p), 3);
         // Next touch at 1 s: overdue at t=2.
         assert_eq!(p.on_idle(at(2)), IdleVerdict::Stay);
         p.on_expected_touch();
@@ -437,10 +432,10 @@ mod tests {
         assert_eq!(p.predicted_idle(), Some(secs(3)));
         p.on_expected_touch();
         p.on_expected_touch();
-        assert_eq!(p.remaining(), 0);
+        assert_eq!(remaining(&p), 0);
         assert_eq!(p.on_idle(at(2)), IdleVerdict::SleepNow);
         p.on_expected_touch(); // saturates
-        assert_eq!(p.remaining(), 0);
+        assert_eq!(remaining(&p), 0);
     }
 
     #[test]
@@ -507,7 +502,7 @@ mod tests {
         // Next touch now 100 s: big window.
         assert_eq!(p.on_idle(at(13)), IdleVerdict::SleepNow);
         assert_eq!(p.predicted_idle(), Some(secs(87)));
-        assert_eq!(p.remaining(), 1);
+        assert_eq!(remaining(&p), 1);
     }
 
     #[test]
@@ -592,7 +587,7 @@ mod tests {
             .filter(|v| **v == IdleVerdict::SleepNow)
             .count();
         assert!(sleep_now > 40, "bandit failed to converge: {sleep_now}/50");
-        assert!(p.arm_values()[0] > p.arm_values()[1]);
+        assert!(p.value[0] > p.value[1]);
     }
 
     #[test]

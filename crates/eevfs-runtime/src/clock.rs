@@ -26,11 +26,6 @@ impl VirtualClock {
         }
     }
 
-    /// The acceleration factor.
-    pub fn scale(&self) -> f64 {
-        self.scale
-    }
-
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         let wall = self.epoch.elapsed().as_secs_f64();

@@ -210,11 +210,6 @@ impl ClusterHandle {
         })
     }
 
-    /// The virtual clock (to convert durations in assertions).
-    pub fn clock(&self) -> &VirtualClock {
-        &self.clock
-    }
-
     /// The server's listen address, for extra client connections (the
     /// closed-loop load generator dials its own workers here).
     pub fn server_addr(&self) -> io::Result<SocketAddr> {

@@ -1034,8 +1034,3 @@ fn shrink_deadline(msg: Message, arrived: Instant) -> Result<Message, u64> {
         other => Ok(other),
     }
 }
-
-/// Splits a trace record time into the form hints carry.
-pub fn hint_time(t: SimTime) -> u64 {
-    t.as_micros()
-}

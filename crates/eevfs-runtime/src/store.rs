@@ -16,8 +16,8 @@
 
 use disk_model::checksum::crc32;
 use std::fs;
-use std::io::{self, Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::io::{self, Read, Write};
+use std::path::PathBuf;
 
 /// Deterministic file contents for file `id` of length `size`.
 ///
@@ -93,11 +93,6 @@ impl FileStore {
     /// Number of data disks.
     pub fn data_disks(&self) -> usize {
         self.disks.len()
-    }
-
-    /// Node root directory.
-    pub fn root(&self) -> &Path {
-        &self.root
     }
 
     /// `disk{disk}/f{file:08}`, with room to become its sidecar's path
@@ -176,22 +171,6 @@ impl FileStore {
         Ok(())
     }
 
-    /// Fault injection: flips one byte of a data-disk file **without**
-    /// touching its checksum sidecar — the on-platter bit rot the
-    /// integrity layer exists to catch.
-    pub fn corrupt_data(&self, disk: usize, file: u32, offset: u64) -> io::Result<()> {
-        let mut f = fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(self.data_path(disk, file)?)?;
-        let mut byte = [0u8; 1];
-        f.seek(SeekFrom::Start(offset))?;
-        f.read_exact(&mut byte)?;
-        byte[0] ^= 0xFF;
-        f.seek(SeekFrom::Start(offset))?;
-        f.write_all(&byte)
-    }
-
     /// Copies a file from a data disk into the buffer area (prefetch).
     /// Goes through [`FileStore::read_data`], so a corrupt source block
     /// is detected rather than silently promoted into the buffer every
@@ -237,18 +216,6 @@ impl FileStore {
         fs::File::open(self.buffer_path(file))?.read_to_end(buf)?;
         Ok(())
     }
-
-    /// True when the buffer area holds the file.
-    pub fn in_buffer(&self, file: u32) -> bool {
-        self.buffer_path(file).exists()
-    }
-
-    /// Size of a file on a data disk, if present.
-    pub fn data_size(&self, disk: usize, file: u32) -> Option<u64> {
-        fs::metadata(self.data_path(disk, file).ok()?)
-            .ok()
-            .map(|m| m.len())
-    }
 }
 
 // The tests return `io::Result` and propagate failures with `?` instead
@@ -257,6 +224,38 @@ impl FileStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::{Seek, SeekFrom};
+
+    /// Test-only access to the files behind the store.
+    impl FileStore {
+        /// Fault injection: flips one byte of a data-disk file **without**
+        /// touching its checksum sidecar — the on-platter bit rot the
+        /// integrity layer exists to catch.
+        fn corrupt_data(&self, disk: usize, file: u32, offset: u64) -> io::Result<()> {
+            let mut f = fs::OpenOptions::new()
+                .read(true)
+                .write(true)
+                .open(self.data_path(disk, file)?)?;
+            let mut byte = [0u8; 1];
+            f.seek(SeekFrom::Start(offset))?;
+            f.read_exact(&mut byte)?;
+            byte[0] ^= 0xFF;
+            f.seek(SeekFrom::Start(offset))?;
+            f.write_all(&byte)
+        }
+
+        /// True when the buffer area holds the file.
+        fn in_buffer(&self, file: u32) -> bool {
+            self.buffer_path(file).exists()
+        }
+
+        /// Size of a file on a data disk, if present.
+        fn data_size(&self, disk: usize, file: u32) -> Option<u64> {
+            fs::metadata(self.data_path(disk, file).ok()?)
+                .ok()
+                .map(|m| m.len())
+        }
+    }
 
     fn tmp() -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -349,7 +348,7 @@ mod tests {
         assert!(verify_pattern(42, &data));
         assert_eq!(store.data_size(1, 42), Some(4096));
         assert_eq!(store.data_size(0, 42), None);
-        let _ = fs::remove_dir_all(store.root());
+        let _ = fs::remove_dir_all(&store.root);
         Ok(())
     }
 
@@ -363,7 +362,7 @@ mod tests {
         assert!(store.in_buffer(7));
         let data = store.read_buffer(7)?;
         assert!(verify_pattern(7, &data));
-        let _ = fs::remove_dir_all(store.root());
+        let _ = fs::remove_dir_all(&store.root);
         Ok(())
     }
 
@@ -376,7 +375,7 @@ mod tests {
         assert_eq!(store.read_buffer(3)?, payload);
         store.write_data(0, 3, &payload)?;
         assert_eq!(store.read_data(0, 3)?, payload);
-        let _ = fs::remove_dir_all(store.root());
+        let _ = fs::remove_dir_all(&store.root);
         Ok(())
     }
 
@@ -395,7 +394,7 @@ mod tests {
         let payload = file_pattern(5, 2048);
         store.write_data(0, 5, &payload)?;
         assert_eq!(store.read_data(0, 5)?, payload);
-        let _ = fs::remove_dir_all(store.root());
+        let _ = fs::remove_dir_all(&store.root);
         Ok(())
     }
 
@@ -419,7 +418,7 @@ mod tests {
             store.read_data_into(0, 8, &mut buf)?;
             assert!(verify_pattern(8, &buf));
         }
-        let _ = fs::remove_dir_all(store.root());
+        let _ = fs::remove_dir_all(&store.root);
         Ok(())
     }
 
@@ -429,7 +428,7 @@ mod tests {
         store.create_file(0, 6, 128)?;
         fs::remove_file(store.crc_path(0, 6)?)?;
         expect_invalid(store.read_data(0, 6), "read without sidecar")?;
-        let _ = fs::remove_dir_all(store.root());
+        let _ = fs::remove_dir_all(&store.root);
         Ok(())
     }
 
@@ -439,7 +438,7 @@ mod tests {
         store.create_file(0, 6, 128)?;
         fs::write(store.crc_path(0, 6)?, [1, 2, 3])?;
         expect_invalid(store.read_data(0, 6), "read with a 3-byte sidecar")?;
-        let _ = fs::remove_dir_all(store.root());
+        let _ = fs::remove_dir_all(&store.root);
         Ok(())
     }
 
@@ -447,16 +446,16 @@ mod tests {
     fn paths_name_the_disk_and_file() -> io::Result<()> {
         let store = FileStore::create(tmp(), 2)?;
         let data = store.data_path(1, 42)?;
-        assert_eq!(data, store.root().join("disk1").join("f00000042"));
+        assert_eq!(data, store.root.join("disk1").join("f00000042"));
         let capacity = data.capacity();
         let crc = sidecar(data);
-        assert_eq!(crc, store.root().join("disk1").join("f00000042.crc"));
+        assert_eq!(crc, store.root.join("disk1").join("f00000042.crc"));
         assert_eq!(
             crc.capacity(),
             capacity,
             "the sidecar path reuses its buffer"
         );
-        let _ = fs::remove_dir_all(store.root());
+        let _ = fs::remove_dir_all(&store.root);
         Ok(())
     }
 
@@ -480,7 +479,7 @@ mod tests {
         assert_eq!(buf.capacity(), grown, "the buffer is reused, not regrown");
         store.corrupt_data(0, 2, 10)?;
         expect_invalid(store.read_data_into(0, 2, &mut buf), "read of corrupt file")?;
-        let _ = fs::remove_dir_all(store.root());
+        let _ = fs::remove_dir_all(&store.root);
         Ok(())
     }
 
@@ -491,7 +490,7 @@ mod tests {
         assert!(store.read_data(1, 0).is_err(), "a disk the store lacks");
         assert_eq!(store.data_size(1, 0), None);
         assert!(store.read_buffer(999).is_err());
-        let _ = fs::remove_dir_all(store.root());
+        let _ = fs::remove_dir_all(&store.root);
         Ok(())
     }
 }

@@ -4,16 +4,6 @@
 use crate::config::{BufferPolicy, EevfsConfig, PlacementPolicy, PowerPolicy};
 use sim_core::SimDuration;
 
-/// EEVFS with prefetching — the paper's PF line.
-pub fn pf(k: u32) -> EevfsConfig {
-    EevfsConfig::paper_pf(k)
-}
-
-/// EEVFS without prefetching — the paper's NPF line.
-pub fn npf() -> EevfsConfig {
-    EevfsConfig::paper_npf()
-}
-
 /// MAID-style disk-as-cache [Colarelli & Grunwald]: on-demand LRU caching
 /// into the buffer disk, classic idle-timer power management, no
 /// popularity prefetching. The paper's §II contrast: "MAID caches blocks
@@ -103,7 +93,7 @@ mod tests {
 
     #[test]
     fn hint_ablation_only_flips_hints() {
-        let with = pf(70);
+        let with = EevfsConfig::paper_pf(70);
         let without = pf_without_hints(70);
         assert!(with.hints && !without.hints);
         assert_eq!(with.buffer, without.buffer);
@@ -113,7 +103,7 @@ mod tests {
     #[test]
     fn striped_flag_set() {
         assert!(pf_striped(70).striping);
-        assert!(!pf(70).striping);
+        assert!(!EevfsConfig::paper_pf(70).striping);
     }
 
     #[test]

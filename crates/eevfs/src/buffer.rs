@@ -48,7 +48,6 @@ pub struct BufferCatalog {
     clock: u64,
     hits: u64,
     misses: u64,
-    evictions: u64,
 }
 
 impl BufferCatalog {
@@ -61,7 +60,6 @@ impl BufferCatalog {
             clock: 0,
             hits: 0,
             misses: 0,
-            evictions: 0,
         }
     }
 
@@ -73,11 +71,6 @@ impl BufferCatalog {
     /// Bytes currently resident.
     pub fn used(&self) -> u64 {
         self.used
-    }
-
-    /// Bytes free.
-    pub fn free(&self) -> u64 {
-        self.capacity - self.used
     }
 
     /// Number of resident files.
@@ -100,11 +93,6 @@ impl BufferCatalog {
         self.misses
     }
 
-    /// LRU evictions performed.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
     /// Checks residency *and* records the hit/miss + LRU touch. This is
     /// the read-path query the storage node makes per request.
     pub fn lookup(&mut self, file: FileId) -> bool {
@@ -125,11 +113,6 @@ impl BufferCatalog {
     /// Residency check without statistics (planning / assertions).
     pub fn contains(&self, file: FileId) -> bool {
         self.entries.contains_key(&file)
-    }
-
-    /// True when the entry holds un-destaged write data.
-    pub fn is_dirty(&self, file: FileId) -> bool {
-        self.entries.get(&file).map(|e| e.dirty).unwrap_or(false)
     }
 
     /// Inserts a pinned prefetch copy. Fails rather than evicts: the
@@ -223,7 +206,6 @@ impl BufferCatalog {
             Some(f) => {
                 let e = self.entries.remove(&f).expect("victim exists");
                 self.used -= e.size;
-                self.evictions += 1;
                 true
             }
             None => false,
@@ -243,7 +225,6 @@ mod tests {
         assert!(!c.lookup(FileId(2)));
         assert_eq!((c.hits(), c.misses()), (1, 1));
         assert_eq!(c.used(), 40);
-        assert_eq!(c.free(), 60);
         assert_eq!(c.len(), 1);
     }
 
@@ -253,7 +234,7 @@ mod tests {
         c.insert_pinned(FileId(1), 60).unwrap();
         assert_eq!(c.insert_pinned(FileId(2), 60), Err(InsertError::Full));
         assert_eq!(c.insert_pinned(FileId(3), 200), Err(InsertError::TooLarge));
-        assert_eq!(c.evictions(), 0);
+        assert!(c.contains(FileId(1)));
     }
 
     #[test]
@@ -275,7 +256,6 @@ mod tests {
         assert!(c.contains(FileId(1)));
         assert!(!c.contains(FileId(2)));
         assert!(c.contains(FileId(3)));
-        assert_eq!(c.evictions(), 1);
     }
 
     #[test]
@@ -290,10 +270,8 @@ mod tests {
     fn write_buffering_marks_dirty_until_destage() {
         let mut c = BufferCatalog::new(100);
         c.buffer_write(FileId(5), 30).unwrap();
-        assert!(c.is_dirty(FileId(5)));
         assert_eq!(c.dirty_files(), vec![(FileId(5), 30)]);
         c.mark_clean(FileId(5));
-        assert!(!c.is_dirty(FileId(5)));
         assert!(c.dirty_files().is_empty());
         assert!(c.contains(FileId(5)), "clean entry remains cached");
     }
@@ -314,7 +292,7 @@ mod tests {
         let mut c = BufferCatalog::new(100);
         c.insert_pinned(FileId(1), 40).unwrap();
         c.buffer_write(FileId(1), 40).unwrap();
-        assert!(c.is_dirty(FileId(1)));
+        assert_eq!(c.dirty_files(), vec![(FileId(1), 40)]);
         assert_eq!(c.used(), 40);
         assert_eq!(c.len(), 1);
     }
@@ -342,6 +320,5 @@ mod tests {
         assert!(!c.contains(FileId(3)));
         c.insert_lru(FileId(8), 10).unwrap(); // evicts 1
         assert!(!c.contains(FileId(1)));
-        assert_eq!(c.evictions(), 2);
     }
 }

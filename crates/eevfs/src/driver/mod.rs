@@ -44,13 +44,12 @@ mod resilience;
 
 use crate::buffer::BufferCatalog;
 use crate::config::{BufferPolicy, ClusterSpec, EevfsConfig};
-use crate::metadata::ServerMetadata;
 use crate::metrics::{NodeMetrics, PrefetchStats, ResponseStats, RunMetrics};
 use crate::placement::{place, PlacementPlan};
 use crate::power::paper_plane;
 use crate::prefetch::{plan_topk, predict_benefit, PrefetchPlan};
 use crate::replication::{replicate, ReplicaPlan};
-use crate::server::StorageServer;
+use crate::server::ServerQueue;
 use disk_model::perf::AccessKind;
 use disk_model::{breakeven_time, Disk, TransitionCounts};
 use durability::DurabilityPlane;
@@ -158,7 +157,7 @@ enum Ev {
 
 struct ClusterSim<'a> {
     cfg: EevfsConfig,
-    server: StorageServer,
+    server: ServerQueue,
     nodes: Vec<NodeState>,
     placement: PlacementPlan,
     replicas: ReplicaPlan,
@@ -1127,21 +1126,7 @@ fn run_validated(
 
     let prefetch_active = !plan.files.is_empty();
 
-    let replica_nodes: Vec<Vec<u32>> = replicas
-        .replicas
-        .iter()
-        .map(|copies| copies.iter().map(|&(n, _)| n).collect())
-        .collect();
-    let server = StorageServer::new(
-        ServerMetadata::with_replicas(
-            // Reference bumps: the server shares the placement and size
-            // tables rather than copying them per run.
-            std::sync::Arc::clone(&placement.node_of_file),
-            std::sync::Arc::clone(&trace.file_sizes),
-            replica_nodes,
-        ),
-        cluster.server_proc_time,
-    );
+    let server = ServerQueue::new(cluster.server_proc_time);
 
     // Fault schedule, shifted from replay-relative time into sim time.
     // Crash-plan events are ordinary node faults: merged in, the health

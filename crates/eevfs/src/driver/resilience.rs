@@ -350,7 +350,7 @@ impl ClusterSim<'_> {
     /// Passes `req` through the server's serialised metadata stage on its
     /// way to `node`.
     fn forward(&mut self, req: u32, node: usize, now: SimTime, queue: &mut EventQueue<Ev>) {
-        let done = self.server.admit(now);
+        let done = self.server.process(now);
         let node = node as u32;
         queue.schedule(done, Ev::ServerDone { req, node });
     }

@@ -31,9 +31,6 @@
 use disk_model::checksum::crc32;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Fixed per-record framing overhead (length + CRC), bytes.
-pub const RECORD_OVERHEAD: u64 = 8;
-
 /// One journalled metadata mutation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JournalRecord {

@@ -20,7 +20,7 @@
 //! | §III-C power management | [`power`] |
 //! | §IV-B prefetching | [`prefetch`], [`buffer`] |
 //! | §IV-C application hints | [`power`] (hint source) |
-//! | §IV-D distributed metadata | [`metadata`] |
+//! | §IV-D distributed metadata | [`placement`] (file → node, file → data disk) |
 //! | §V metrics | [`metrics`] |
 //! | §VI experiments (the whole cluster in motion) | [`driver`] |
 //! | §II baselines (MAID, PDC, plain DPM) | [`baselines`] |
@@ -55,7 +55,6 @@ pub mod buffer;
 pub mod config;
 pub mod driver;
 pub mod journal;
-pub mod metadata;
 pub mod metrics;
 pub mod overload;
 pub mod placement;

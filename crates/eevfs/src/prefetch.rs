@@ -13,7 +13,7 @@ use crate::placement::PlacementPlan;
 use disk_model::breakeven::sleep_benefit_joules;
 use disk_model::DiskSpec;
 use serde::{Deserialize, Serialize};
-use sim_core::{SimDuration, SimTime};
+use sim_core::SimTime;
 use workload::lookahead::idle_windows;
 use workload::popularity::PopularityTable;
 use workload::record::{FileId, Op, Trace};
@@ -38,11 +38,6 @@ impl PrefetchPlan {
             per_node: vec![Vec::new(); n_nodes],
             dropped: Vec::new(),
         }
-    }
-
-    /// Total bytes the plan will copy.
-    pub fn planned_bytes(&self, sizes: &[u64]) -> u64 {
-        self.files.iter().map(|f| sizes[f.index()]).sum()
     }
 
     /// Fast membership test table over the file population.
@@ -198,13 +193,6 @@ where
     }
 }
 
-/// Convenience: threshold used when deciding whether a *single* window is
-/// worth a transition pair (the paper raises the idle threshold to avoid
-/// "a small amount of energy savings \[that\] may not be worth the stress").
-pub fn min_worthwhile_window(spec: &DiskSpec, threshold: SimDuration) -> SimDuration {
-    threshold.max(disk_model::breakeven_time(spec))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -327,16 +315,5 @@ mod tests {
         let report = predict_benefit(&trace, &plan, &pf, &specs, &buffers, &cfg);
         assert_eq!(report.windows, 0);
         assert!(!report.worthwhile);
-    }
-
-    #[test]
-    fn min_worthwhile_window_respects_breakeven() {
-        let spec = DiskSpec::ata133_type1();
-        let be = disk_model::breakeven_time(&spec);
-        assert_eq!(min_worthwhile_window(&spec, SimDuration::from_secs(1)), be);
-        assert_eq!(
-            min_worthwhile_window(&spec, SimDuration::from_secs(100)),
-            SimDuration::from_secs(100)
-        );
     }
 }

@@ -37,11 +37,6 @@ impl ScrubPolicy {
             blocks_per_pass: 256,
         }
     }
-
-    /// True when this policy never scrubs.
-    pub fn is_off(&self) -> bool {
-        matches!(self, ScrubPolicy::Off)
-    }
 }
 
 /// Per-disk scrub cursors: each disk sweeps its block address space in
@@ -68,16 +63,6 @@ impl Scrubber {
             blocks_per_disk: blocks_per_disk.max(1),
             cursors: vec![vec![0; disks_per_node]; nodes],
         }
-    }
-
-    /// The policy this scrubber runs.
-    pub fn policy(&self) -> ScrubPolicy {
-        self.policy
-    }
-
-    /// Blocks per disk in the scrub address space.
-    pub fn blocks_per_disk(&self) -> u32 {
-        self.blocks_per_disk
     }
 
     /// Advances the cursor for `(node, disk)` and returns the window

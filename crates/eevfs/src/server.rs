@@ -8,17 +8,13 @@
 //! [`ServerQueue`] models that stage: FIFO, fixed per-request service
 //! time.
 
-use crate::metadata::ServerMetadata;
 use sim_core::{SimDuration, SimTime};
-use workload::record::FileId;
 
 /// The serialised request-processing stage of the storage server.
 #[derive(Debug, Clone)]
 pub struct ServerQueue {
     proc_time: SimDuration,
     free_at: SimTime,
-    processed: u64,
-    busy_us: u64,
 }
 
 impl ServerQueue {
@@ -27,8 +23,6 @@ impl ServerQueue {
         ServerQueue {
             proc_time,
             free_at: SimTime::ZERO,
-            processed: 0,
-            busy_us: 0,
         }
     }
 
@@ -38,65 +32,7 @@ impl ServerQueue {
         let start = now.max(self.free_at);
         let done = start + self.proc_time;
         self.free_at = done;
-        self.processed += 1;
-        self.busy_us += self.proc_time.as_micros();
         done
-    }
-
-    /// Requests processed.
-    pub fn processed(&self) -> u64 {
-        self.processed
-    }
-
-    /// Utilisation over a horizon.
-    pub fn utilization(&self, horizon: SimTime) -> f64 {
-        if horizon == SimTime::ZERO {
-            0.0
-        } else {
-            (self.busy_us as f64 / 1e6) / horizon.as_secs_f64()
-        }
-    }
-}
-
-/// The full server state: metadata plus the processing stage.
-#[derive(Debug, Clone)]
-pub struct StorageServer {
-    metadata: ServerMetadata,
-    queue: ServerQueue,
-}
-
-impl StorageServer {
-    /// Builds the server from resolved metadata.
-    pub fn new(metadata: ServerMetadata, proc_time: SimDuration) -> Self {
-        StorageServer {
-            metadata,
-            queue: ServerQueue::new(proc_time),
-        }
-    }
-
-    /// Handles one request: resolves the owning node and returns
-    /// `(node, done_time)`.
-    pub fn route(&mut self, now: SimTime, file: FileId) -> (usize, SimTime) {
-        let node = self.metadata.node_of(file);
-        let done = self.queue.process(now);
-        (node, done)
-    }
-
-    /// Admits a request whose target replica the caller already chose
-    /// (health- and energy-aware routing); pays the same serialised
-    /// metadata-handling time as [`Self::route`].
-    pub fn admit(&mut self, now: SimTime) -> SimTime {
-        self.queue.process(now)
-    }
-
-    /// The metadata table.
-    pub fn metadata(&self) -> &ServerMetadata {
-        &self.metadata
-    }
-
-    /// The processing stage (for utilisation reporting).
-    pub fn queue(&self) -> &ServerQueue {
-        &self.queue
     }
 }
 
@@ -113,7 +49,6 @@ mod tests {
         assert_eq!(a, SimTime::from_millis(10));
         assert_eq!(b, SimTime::from_millis(20));
         assert_eq!(c, SimTime::from_millis(110));
-        assert_eq!(q.processed(), 3);
     }
 
     #[test]
@@ -124,24 +59,5 @@ mod tests {
             last = q.process(SimTime::ZERO);
         }
         assert_eq!(last, SimTime::from_millis(800));
-    }
-
-    #[test]
-    fn utilization() {
-        let mut q = ServerQueue::new(SimDuration::from_millis(10));
-        q.process(SimTime::ZERO);
-        assert!((q.utilization(SimTime::from_secs(1)) - 0.01).abs() < 1e-9);
-    }
-
-    #[test]
-    fn routing_uses_metadata() {
-        let meta = ServerMetadata::new(vec![2, 0, 1], vec![10, 10, 10]);
-        let mut s = StorageServer::new(meta, SimDuration::from_millis(5));
-        let (node, done) = s.route(SimTime::ZERO, FileId(0));
-        assert_eq!(node, 2);
-        assert_eq!(done, SimTime::from_millis(5));
-        let (node2, done2) = s.route(SimTime::ZERO, FileId(2));
-        assert_eq!(node2, 1);
-        assert_eq!(done2, SimTime::from_millis(10), "second request queues");
     }
 }

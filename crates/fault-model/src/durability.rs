@@ -232,20 +232,6 @@ impl CorruptionPlanBuilder {
         self
     }
 
-    /// Adds a silent bit flip.
-    pub fn bit_flip(mut self, at: SimTime, node: u32, disk: u32, block: u32, bit: u8) -> Self {
-        self.events.push(CorruptionEvent {
-            at,
-            kind: CorruptionKind::BitFlip {
-                node,
-                disk,
-                block,
-                bit,
-            },
-        });
-        self
-    }
-
     /// Finishes the plan (events sorted by time).
     pub fn build(self) -> CorruptionPlan {
         CorruptionPlan::from_trace(self.events)
@@ -441,11 +427,6 @@ impl CorruptionTracker {
         fired
     }
 
-    /// Time of the next unapplied event, if any.
-    pub fn next_event_at(&self) -> Option<SimTime> {
-        self.plan.events.get(self.cursor).map(|e| e.at)
-    }
-
     /// The currently-corrupt blocks of one disk, ascending.
     pub fn corrupt_blocks(&self, node: usize, disk: usize) -> &BTreeSet<u32> {
         static EMPTY: BTreeSet<u32> = BTreeSet::new();
@@ -453,11 +434,6 @@ impl CorruptionTracker {
             .get(node)
             .and_then(|row| row.get(disk))
             .unwrap_or(&EMPTY)
-    }
-
-    /// True when `block` on `(node, disk)` currently holds bad data.
-    pub fn is_corrupt(&self, node: usize, disk: usize, block: u32) -> bool {
-        self.corrupt_blocks(node, disk).contains(&block)
     }
 
     /// Clears one corrupt block (repaired from a replica, or written off
@@ -598,6 +574,21 @@ mod tests {
         assert!(r.is_err());
     }
 
+    impl CorruptionPlanBuilder {
+        fn bit_flip(mut self, at: SimTime, node: u32, disk: u32, block: u32, bit: u8) -> Self {
+            self.events.push(CorruptionEvent {
+                at,
+                kind: CorruptionKind::BitFlip {
+                    node,
+                    disk,
+                    block,
+                    bit,
+                },
+            });
+            self
+        }
+    }
+
     #[test]
     fn tracker_lands_detects_and_resolves() {
         let plan = CorruptionPlan::builder()
@@ -607,8 +598,7 @@ mod tests {
         let mut t = CorruptionTracker::new(plan, 2, 2);
         assert_eq!(t.apply_until(SimTime::from_secs(5)), 0);
         assert_eq!(t.apply_until(SimTime::from_secs(15)), 1);
-        assert!(t.is_corrupt(1, 0, 99));
-        assert!(!t.is_corrupt(1, 0, 7));
+        assert_eq!(t.corrupt_blocks(1, 0).iter().collect::<Vec<_>>(), [&99]);
         t.apply_until(SimTime::from_secs(25));
         assert_eq!(t.outstanding(), 2);
         assert_eq!(t.landed(), 2);
@@ -618,7 +608,7 @@ mod tests {
         assert!(t.resolve(1, 0, 99));
         assert!(!t.resolve(1, 0, 99), "resolved only once");
         assert_eq!(t.outstanding(), 1);
-        assert_eq!(t.next_event_at(), None);
+        assert_eq!(t.cursor, t.plan.events.len(), "every event applied");
     }
 
     #[test]

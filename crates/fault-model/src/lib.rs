@@ -30,7 +30,7 @@ pub use net::{
     LinkDecision, LinkFaultProfile, NetFaultEvent, NetFaultInjector, NetFaultKind, NetFaultPlan,
     NetFaultSpec,
 };
-pub use policy::{BackoffSchedule, BreakerConfig, BreakerState, CircuitBreaker, RpcPolicy};
+pub use policy::{BreakerConfig, BreakerState, CircuitBreaker, RpcPolicy};
 
 /// One injected fault (or the repair that clears it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -251,14 +251,6 @@ impl FaultPlanBuilder {
         self
     }
 
-    pub fn disk_repair(mut self, at: SimTime, node: u32, disk: u32) -> Self {
-        self.events.push(FaultEvent {
-            at,
-            kind: FaultKind::DiskRepair { node, disk },
-        });
-        self
-    }
-
     pub fn spin_up_fail(mut self, at: SimTime, node: u32, disk: u32) -> Self {
         self.events.push(FaultEvent {
             at,
@@ -365,11 +357,6 @@ impl HealthTracker {
         self.disk_up.get_mut(node as usize)?.get_mut(disk as usize)
     }
 
-    /// Time of the next unapplied event, if any (for event-queue bridges).
-    pub fn next_event_at(&self) -> Option<SimTime> {
-        self.plan.events.get(self.cursor).map(|e| e.at)
-    }
-
     pub fn node_ok(&self, node: usize) -> bool {
         self.node_up.get(node).copied().unwrap_or(false)
     }
@@ -400,11 +387,6 @@ impl HealthTracker {
             }
             _ => false,
         }
-    }
-
-    /// True when every node and disk is currently up.
-    pub fn all_healthy(&self) -> bool {
-        self.node_up.iter().all(|&n| n) && self.disk_up.iter().all(|row| row.iter().all(|&d| d))
     }
 }
 
@@ -475,6 +457,16 @@ mod tests {
         assert_eq!(disk_events(&with_crashes), disk_events(&without));
     }
 
+    impl FaultPlanBuilder {
+        fn disk_repair(mut self, at: SimTime, node: u32, disk: u32) -> Self {
+            self.events.push(FaultEvent {
+                at,
+                kind: FaultKind::DiskRepair { node, disk },
+            });
+            self
+        }
+    }
+
     #[test]
     fn tracker_applies_fail_and_repair() {
         let plan = FaultPlan::builder()
@@ -484,7 +476,7 @@ mod tests {
             .node_restart(SimTime::from_secs(25), 2)
             .build();
         let mut t = HealthTracker::new(plan, 4, 2);
-        assert!(t.all_healthy());
+        assert!(t.disk_ok(1, 0) && t.node_ok(2));
         assert_eq!(t.apply_until(SimTime::from_secs(9)).len(), 0);
 
         let fired = t.apply_until(SimTime::from_secs(16));
@@ -496,8 +488,8 @@ mod tests {
         assert!(!t.disk_ok(2, 0));
 
         t.apply_until(SimTime::from_secs(30));
-        assert!(t.all_healthy());
-        assert_eq!(t.next_event_at(), None);
+        assert!(t.disk_ok(1, 0) && t.node_ok(2));
+        assert_eq!(t.cursor, t.plan.events.len(), "every event applied");
     }
 
     #[test]

@@ -249,11 +249,6 @@ impl NetFaultInjector {
         }
     }
 
-    /// An injector that never faults anything.
-    pub fn disabled(links: usize) -> NetFaultInjector {
-        NetFaultInjector::new(LinkFaultProfile::none(), NetFaultPlan::none(), links)
-    }
-
     /// Applies every scheduled event with `at <= now`, returning how many
     /// it applied.
     pub fn apply_until(&mut self, now: SimTime) -> usize {
@@ -270,11 +265,6 @@ impl NetFaultInjector {
             fired += 1;
         }
         fired
-    }
-
-    /// Time of the next unapplied scheduled event, if any.
-    pub fn next_event_at(&self) -> Option<SimTime> {
-        self.plan.events.get(self.cursor).map(|e| e.at)
     }
 
     /// Every scheduled event instant, ascending — what a driver needs to
@@ -384,7 +374,7 @@ mod tests {
         assert!(!inj.link_ok(1));
         assert_eq!(inj.decide(1), LinkDecision::Drop);
         assert_eq!(inj.decide(0), LinkDecision::Deliver);
-        assert_eq!(inj.next_event_at(), Some(SimTime::from_secs(20)));
+        assert_eq!(inj.plan.events[inj.cursor].at, SimTime::from_secs(20));
         inj.apply_until(SimTime::from_secs(25));
         assert!(inj.link_ok(1));
         assert_eq!(inj.decide(1), LinkDecision::Deliver);

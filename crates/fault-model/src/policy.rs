@@ -97,27 +97,18 @@ impl RpcPolicy {
         }
     }
 
-    /// The jittered backoff delays for one request, truncated so that the
-    /// worst-case total (every flight timing out, plus every backoff wait)
-    /// never exceeds `deadline`. `delays.len()` is therefore the number of
-    /// *usable* retries for this request, `<= max_retries`.
-    pub fn backoff_schedule(&self, request_id: u64) -> BackoffSchedule {
-        BackoffSchedule {
-            delays: self.jitter_walk(request_id).collect(),
-        }
-    }
-
     /// The delay before retry number `tries` (0-based) of one request, or
-    /// `None` once its usable retries are spent: exactly
-    /// `backoff_schedule(request_id).delay(tries)`, without building the
-    /// schedule. The walk stops at `tries`, and nothing is computed until a
-    /// request first fails.
+    /// `None` once its usable retries are spent. The jittered delays are
+    /// truncated so that the worst-case total (every flight timing out,
+    /// plus every backoff wait) never exceeds `deadline`, so a request has
+    /// at most `max_retries` usable retries. The walk stops at `tries`, and
+    /// nothing is computed until a request first fails.
     pub fn backoff_delay(&self, request_id: u64, tries: usize) -> Option<SimDuration> {
         self.jitter_walk(request_id).nth(tries)
     }
 
-    /// The one jitter walk behind both views: the request's delays in
-    /// order, drawn lazily from a stream seeded by (`seed`, request id).
+    /// The request's delays in order, drawn lazily from a stream seeded by
+    /// (`seed`, request id).
     fn jitter_walk(&self, request_id: u64) -> impl Iterator<Item = SimDuration> + '_ {
         let mut rng = SimRng::seed_from_u64(
             self.seed ^ request_id.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xBAC0_FF5E,
@@ -139,36 +130,6 @@ impl RpcPolicy {
             );
             Some(delay)
         })
-    }
-}
-
-/// The concrete delays between tries for one request.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BackoffSchedule {
-    delays: Vec<SimDuration>,
-}
-
-impl BackoffSchedule {
-    /// Delay to wait before retry number `retry` (0-based). `None` once
-    /// the retry budget (or the deadline) is exhausted.
-    pub fn delay(&self, retry: usize) -> Option<SimDuration> {
-        self.delays.get(retry).copied()
-    }
-
-    /// Usable retries under the deadline.
-    pub fn len(&self) -> usize {
-        self.delays.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.delays.is_empty()
-    }
-
-    /// Sum of all backoff delays.
-    pub fn total(&self) -> SimDuration {
-        self.delays
-            .iter()
-            .fold(SimDuration::ZERO, |acc, &d| acc + d)
     }
 }
 
@@ -287,18 +248,28 @@ mod tests {
         RpcPolicy::retrying(SimDuration::from_secs(30), SimDuration::from_secs(2), 5)
     }
 
+    /// One request's whole backoff schedule: a delay per usable retry.
+    fn schedule(p: &RpcPolicy, request_id: u64) -> Vec<SimDuration> {
+        p.jitter_walk(request_id).collect()
+    }
+
+    /// Sum of a schedule's delays.
+    fn total(delays: &[SimDuration]) -> SimDuration {
+        delays.iter().fold(SimDuration::ZERO, |acc, &d| acc + d)
+    }
+
     #[test]
     fn schedule_is_deterministic_per_request() {
         let p = policy();
-        assert_eq!(p.backoff_schedule(7), p.backoff_schedule(7));
-        assert_ne!(p.backoff_schedule(7), p.backoff_schedule(8));
+        assert_eq!(schedule(&p, 7), schedule(&p, 7));
+        assert_ne!(schedule(&p, 7), schedule(&p, 8));
     }
 
     #[test]
     fn schedule_respects_deadline() {
         let p = RpcPolicy::retrying(SimDuration::from_secs(5), SimDuration::from_secs(2), 10);
-        let s = p.backoff_schedule(0);
-        let worst = p.per_try_timeout.saturating_mul(s.len() as u64 + 1) + s.total();
+        let s = schedule(&p, 0);
+        let worst = p.per_try_timeout.saturating_mul(s.len() as u64 + 1) + total(&s);
         assert!(
             worst <= p.deadline,
             "worst case {worst:?} > {:?}",
@@ -309,9 +280,9 @@ mod tests {
 
     #[test]
     fn zero_retries_means_empty_schedule() {
-        let s = RpcPolicy::no_retry(SimDuration::from_secs(10)).backoff_schedule(1);
-        assert!(s.is_empty());
-        assert_eq!(s.delay(0), None);
+        let p = RpcPolicy::no_retry(SimDuration::from_secs(10));
+        assert!(schedule(&p, 1).is_empty());
+        assert_eq!(p.backoff_delay(1, 0), None);
     }
 
     #[test]
@@ -377,9 +348,9 @@ mod tests {
             fn total_retry_time_never_exceeds_deadline(
                 p in arb_policy(), req in any::<u64>()
             ) {
-                let s = p.backoff_schedule(req);
+                let s = schedule(&p, req);
                 let worst =
-                    p.per_try_timeout.saturating_mul(s.len() as u64 + 1) + s.total();
+                    p.per_try_timeout.saturating_mul(s.len() as u64 + 1) + total(&s);
                 prop_assert!(worst <= p.deadline.max(p.per_try_timeout));
                 prop_assert!(s.len() <= p.max_retries as usize);
             }
@@ -388,10 +359,9 @@ mod tests {
             /// exponential value.
             #[test]
             fn jitter_stays_within_bounds(p in arb_policy(), req in any::<u64>()) {
-                let s = p.backoff_schedule(req);
                 let mut nominal = p.backoff_base;
-                for i in 0..s.len() {
-                    let d = s.delay(i).unwrap().as_micros() as f64;
+                for delay in schedule(&p, req) {
+                    let d = delay.as_micros() as f64;
                     let n = nominal.as_micros() as f64;
                     prop_assert!(d >= (n * (1.0 - p.jitter)).floor());
                     prop_assert!(d <= (n * (1.0 + p.jitter)).ceil());
@@ -405,9 +375,9 @@ mod tests {
             /// number, including those past the usable retries.
             #[test]
             fn backoff_delay_equals_the_schedule(p in arb_policy(), req in any::<u64>()) {
-                let s = p.backoff_schedule(req);
+                let s = schedule(&p, req);
                 for tries in 0..=p.max_retries as usize + 1 {
-                    prop_assert_eq!(p.backoff_delay(req, tries), s.delay(tries));
+                    prop_assert_eq!(p.backoff_delay(req, tries), s.get(tries).copied());
                 }
             }
 
@@ -417,14 +387,14 @@ mod tests {
             fn identical_seeds_identical_schedules(
                 p in arb_policy(), req in any::<u64>()
             ) {
-                prop_assert_eq!(p.backoff_schedule(req), p.clone().backoff_schedule(req));
+                prop_assert_eq!(schedule(&p, req), schedule(&p.clone(), req));
                 let reseeded = RpcPolicy { seed: p.seed ^ 1, ..p.clone() };
                 // A different seed is allowed to differ (and with jitter > 0
                 // and at least one delay it usually does); it must still obey
                 // the same deadline bound.
-                let s = reseeded.backoff_schedule(req);
+                let s = schedule(&reseeded, req);
                 let worst =
-                    p.per_try_timeout.saturating_mul(s.len() as u64 + 1) + s.total();
+                    p.per_try_timeout.saturating_mul(s.len() as u64 + 1) + total(&s);
                 prop_assert!(worst <= p.deadline.max(p.per_try_timeout));
             }
         }

@@ -40,14 +40,6 @@ impl Link {
         }
     }
 
-    /// An effectively infinite link, for isolating disk effects in tests.
-    pub fn infinite() -> Link {
-        Link {
-            bandwidth_bps: u64::MAX,
-            latency: SimDuration::ZERO,
-        }
-    }
-
     /// Time to push `bytes` through this link alone.
     pub fn transfer_time(&self, bytes: u64) -> SimDuration {
         if self.bandwidth_bps == u64::MAX {
@@ -102,12 +94,6 @@ mod tests {
             path.latency,
             Link::gigabit().latency + Link::fast_ethernet().latency + sw
         );
-    }
-
-    #[test]
-    fn infinite_link_is_free_apart_from_latency() {
-        let l = Link::infinite();
-        assert_eq!(l.transfer_time(u64::MAX / 2), SimDuration::ZERO);
     }
 
     #[test]

@@ -15,12 +15,6 @@ use sim_core::SimDuration;
 /// Payload size of a control message, bytes (request headers, metadata).
 pub const CONTROL_MESSAGE_BYTES: u64 = 512;
 
-/// Software overhead per control-message hop on the prototype. Calibrated
-/// so that small-file response times land at the paper's measured floor.
-pub fn default_software_overhead() -> SimDuration {
-    SimDuration::from_millis(5)
-}
-
 /// Time for one control message over `link`, including software overhead.
 pub fn control_message_time(link: &Link, software_overhead: SimDuration) -> SimDuration {
     link.transfer_time(CONTROL_MESSAGE_BYTES) + software_overhead
@@ -32,7 +26,7 @@ mod tests {
 
     #[test]
     fn control_message_is_milliseconds_not_seconds() {
-        let t = control_message_time(&Link::fast_ethernet(), default_software_overhead());
+        let t = control_message_time(&Link::fast_ethernet(), SimDuration::from_millis(5));
         let s = t.as_secs_f64();
         assert!(s > 0.001 && s < 0.02, "got {s}");
     }
@@ -40,7 +34,7 @@ mod tests {
     #[test]
     fn overhead_dominates_wire_time() {
         let wire = Link::gigabit().transfer_time(CONTROL_MESSAGE_BYTES);
-        assert!(default_software_overhead() > wire);
+        assert!(SimDuration::from_millis(5) > wire);
     }
 
     #[test]

@@ -26,8 +26,6 @@ pub struct TransferInfo {
 pub struct Nic {
     link: Link,
     free_at: SimTime,
-    bytes_sent: u64,
-    transfers: u64,
     busy_us: u64,
 }
 
@@ -37,35 +35,13 @@ impl Nic {
         Nic {
             link,
             free_at: SimTime::ZERO,
-            bytes_sent: 0,
-            transfers: 0,
             busy_us: 0,
         }
-    }
-
-    /// The underlying link.
-    pub fn link(&self) -> &Link {
-        &self.link
     }
 
     /// When everything queued so far will have drained.
     pub fn free_at(&self) -> SimTime {
         self.free_at
-    }
-
-    /// Total payload bytes sent.
-    pub fn bytes_sent(&self) -> u64 {
-        self.bytes_sent
-    }
-
-    /// Number of transfers performed.
-    pub fn transfers(&self) -> u64 {
-        self.transfers
-    }
-
-    /// Total time this port spent transferring, seconds.
-    pub fn busy_seconds(&self) -> f64 {
-        self.busy_us as f64 / 1e6
     }
 
     /// Utilisation over a horizon (busy time / horizon).
@@ -84,8 +60,6 @@ impl Nic {
         let dur = self.link.transfer_time(bytes);
         let finish = start + dur;
         self.free_at = finish;
-        self.bytes_sent += bytes;
-        self.transfers += 1;
         self.busy_us += dur.as_micros();
         TransferInfo {
             start,
@@ -107,8 +81,6 @@ mod tests {
         assert!(a.waited.is_zero());
         assert_eq!(b.start, a.finish);
         assert!(b.waited > SimDuration::from_millis(1300));
-        assert_eq!(nic.transfers(), 2);
-        assert_eq!(nic.bytes_sent(), 20_000_000);
     }
 
     #[test]
@@ -127,17 +99,5 @@ mod tests {
         let u = nic.utilization(SimTime::from_secs(10));
         assert!(u > 0.12 && u < 0.15, "got {u}");
         assert_eq!(Nic::new(Link::gigabit()).utilization(SimTime::ZERO), 0.0);
-    }
-
-    #[test]
-    fn busy_seconds_accumulates() {
-        let mut nic = Nic::new(Link::fast_ethernet());
-        nic.send(SimTime::ZERO, 10_000_000);
-        nic.send(SimTime::from_secs(5), 10_000_000);
-        assert!(
-            (nic.busy_seconds() - 2.0 * 10.0 / 7.5).abs() < 0.01,
-            "got {}",
-            nic.busy_seconds()
-        );
     }
 }

@@ -94,11 +94,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Reserves heap room for at least `additional` more pending events.
-    pub fn reserve(&mut self, additional: usize) {
-        self.heap.reserve(additional);
-    }
-
     /// Number of pending events the heap can hold without reallocating.
     pub fn capacity(&self) -> usize {
         self.heap.capacity()
@@ -291,8 +286,6 @@ mod tests {
         assert!(q.capacity() >= 64);
         q.schedule(SimTime::from_millis(20), "b");
         q.schedule(SimTime::from_millis(10), "a");
-        q.reserve(128);
-        assert!(q.capacity() >= 130);
         let order: Vec<_> = q.drain_ordered().into_iter().map(|(_, e)| e).collect();
         assert_eq!(order, vec!["a", "b"]);
     }

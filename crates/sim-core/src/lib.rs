@@ -30,7 +30,7 @@ pub mod series;
 pub mod stats;
 pub mod time;
 
-pub use engine::{Engine, Model, Observer};
+pub use engine::{Engine, Model};
 pub use event::EventQueue;
 pub use hash::IntMap;
 pub use rng::SimRng;

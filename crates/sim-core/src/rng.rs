@@ -288,13 +288,6 @@ impl Zipf {
         self.cdf.is_empty()
     }
 
-    /// Probability mass of a rank.
-    pub fn pmf(&self, rank: usize) -> f64 {
-        let hi = self.cdf[rank];
-        let lo = if rank == 0 { 0.0 } else { self.cdf[rank - 1] };
-        hi - lo
-    }
-
     /// Draws a rank in `[0, n)`.
     pub fn sample(&self, rng: &mut SimRng) -> usize {
         let u = rng.uniform();
@@ -473,18 +466,24 @@ mod tests {
         assert!(counts[10] > counts[99]);
     }
 
+    /// Probability mass of a rank, read off the sampler's CDF.
+    fn pmf(z: &Zipf, rank: usize) -> f64 {
+        let lo = if rank == 0 { 0.0 } else { z.cdf[rank - 1] };
+        z.cdf[rank] - lo
+    }
+
     #[test]
     fn zipf_alpha_zero_is_uniform() {
         let z = Zipf::new(10, 0.0);
         for r in 0..10 {
-            assert!((z.pmf(r) - 0.1).abs() < 1e-12);
+            assert!((pmf(&z, r) - 0.1).abs() < 1e-12);
         }
     }
 
     #[test]
     fn zipf_pmf_sums_to_one() {
         let z = Zipf::new(137, 1.3);
-        let sum: f64 = (0..z.len()).map(|r| z.pmf(r)).sum();
+        let sum: f64 = (0..z.len()).map(|r| pmf(&z, r)).sum();
         assert!((sum - 1.0).abs() < 1e-9);
     }
 

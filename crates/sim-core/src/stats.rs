@@ -2,61 +2,17 @@
 //!
 //! The harness reports the same quantities as the paper's figures: mean
 //! response time, total energy, transition counts. [`OnlineStats`] gives
-//! numerically stable running moments (Welford), and [`Histogram`] gives
+//! a numerically stable running mean (Welford), and [`Histogram`] gives
 //! fixed-width binned counts for distribution sanity checks.
 
 use serde::{Deserialize, Serialize};
 
-/// Welford online mean/variance plus min/max.
-///
-/// Serialisation is hand-written rather than derived: an empty accumulator
-/// holds `min = +inf` / `max = -inf`, and JSON has no representation for
-/// non-finite floats (the serialiser writes them as `null`, which a derived
-/// deserialiser would read back as NaN). The manual impl writes non-finite
-/// min/max as `null` and restores the empty-accumulator sentinels, so the
-/// struct round-trips through JSON in every state.
+/// Running count, mean (Welford's update) and maximum.
 #[derive(Debug, Clone, Default)]
 pub struct OnlineStats {
     count: u64,
     mean: f64,
-    m2: f64,
-    min: f64,
     max: f64,
-}
-
-impl Serialize for OnlineStats {
-    fn serialize<S: serde::Serializer>(&self, s: &mut S) {
-        let finite = |x: f64| Some(x).filter(|x| x.is_finite());
-        s.begin_map();
-        s.serialize_field("count");
-        s.serialize_u64(self.count);
-        s.serialize_field("mean");
-        s.serialize_f64(self.mean);
-        s.serialize_field("m2");
-        s.serialize_f64(self.m2);
-        s.serialize_field("min");
-        finite(self.min).serialize(s);
-        s.serialize_field("max");
-        finite(self.max).serialize(s);
-        s.end_map();
-    }
-}
-
-impl Deserialize for OnlineStats {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
-        let m = v
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected map for OnlineStats"))?;
-        let min: Option<f64> = serde::de_field(m, "min")?;
-        let max: Option<f64> = serde::de_field(m, "max")?;
-        Ok(OnlineStats {
-            count: serde::de_field(m, "count")?,
-            mean: serde::de_field(m, "mean")?,
-            m2: serde::de_field(m, "m2")?,
-            min: min.unwrap_or(f64::INFINITY),
-            max: max.unwrap_or(f64::NEG_INFINITY),
-        })
-    }
 }
 
 impl OnlineStats {
@@ -65,8 +21,6 @@ impl OnlineStats {
         OnlineStats {
             count: 0,
             mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
             max: f64::NEG_INFINITY,
         }
     }
@@ -76,29 +30,7 @@ impl OnlineStats {
         self.count += 1;
         let delta = x - self.mean;
         self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
         self.max = self.max.max(x);
-    }
-
-    /// Merges another accumulator (Chan's parallel update).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 
     /// Number of observations.
@@ -115,33 +47,9 @@ impl OnlineStats {
         }
     }
 
-    /// Population variance (0 for fewer than two observations).
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest observation (`+inf` when empty).
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
     /// Largest observation (`-inf` when empty).
     pub fn max(&self) -> f64 {
         self.max
-    }
-
-    /// Sum of all observations.
-    pub fn sum(&self) -> f64 {
-        self.mean() * self.count as f64
     }
 }
 
@@ -283,21 +191,6 @@ impl Histogram {
         self.bins.len()
     }
 
-    /// Observations below the range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Observations at or above the top of the range.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// NaN observations (unorderable, so binned nowhere).
-    pub fn nan(&self) -> u64 {
-        self.nan
-    }
-
     /// Total observations recorded, including under/overflow and NaN.
     pub fn total(&self) -> u64 {
         self.bins.iter().sum::<u64>() + self.underflow + self.overflow + self.nan
@@ -316,11 +209,7 @@ mod tests {
         }
         assert_eq!(s.count(), 8);
         assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.variance() - 4.0).abs() < 1e-12);
-        assert!((s.std_dev() - 2.0).abs() < 1e-12);
-        assert_eq!(s.min(), 2.0);
         assert_eq!(s.max(), 9.0);
-        assert!((s.sum() - 40.0).abs() < 1e-9);
     }
 
     #[test]
@@ -328,49 +217,7 @@ mod tests {
         let s = OnlineStats::new();
         assert_eq!(s.count(), 0);
         assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.sum(), 0.0);
-    }
-
-    #[test]
-    fn merge_matches_sequential() {
-        let data: Vec<f64> = (0..1000).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = OnlineStats::new();
-        for &x in &data {
-            whole.push(x);
-        }
-        let mut left = OnlineStats::new();
-        let mut right = OnlineStats::new();
-        for &x in &data[..313] {
-            left.push(x);
-        }
-        for &x in &data[313..] {
-            right.push(x);
-        }
-        left.merge(&right);
-        assert_eq!(left.count(), whole.count());
-        assert!((left.mean() - whole.mean()).abs() < 1e-9);
-        assert!((left.variance() - whole.variance()).abs() < 1e-9);
-        assert_eq!(left.min(), whole.min());
-        assert_eq!(left.max(), whole.max());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = OnlineStats::new();
-        a.push(1.0);
-        a.push(3.0);
-        let before = a.mean();
-        a.merge(&OnlineStats::new());
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.mean(), before);
-
-        let mut empty = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        b.push(7.0);
-        empty.merge(&b);
-        assert_eq!(empty.count(), 1);
-        assert_eq!(empty.mean(), 7.0);
+        assert_eq!(s.max(), f64::NEG_INFINITY);
     }
 
     #[test]
@@ -444,8 +291,8 @@ mod tests {
         h.record(9.999); // bin 4
         h.record(10.0); // overflow
         h.record(100.0); // overflow
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 2);
+        assert_eq!(h.underflow, 1);
+        assert_eq!(h.overflow, 2);
         assert_eq!(h.bin_count(0), 2);
         assert_eq!(h.bin_count(1), 1);
         assert_eq!(h.bin_count(4), 1);
@@ -469,58 +316,9 @@ mod tests {
         h.record(f64::NAN);
         h.record(1.0);
         assert_eq!(h.bin_count(0), 1, "only the real observation");
-        assert_eq!(h.nan(), 2);
-        assert_eq!(h.underflow(), 0);
-        assert_eq!(h.overflow(), 0);
+        assert_eq!(h.nan, 2);
+        assert_eq!(h.underflow, 0);
+        assert_eq!(h.overflow, 0);
         assert_eq!(h.total(), 3);
-    }
-
-    #[test]
-    fn empty_online_stats_roundtrip_through_json() {
-        // min/max are ±inf when empty; JSON would render them as null and
-        // a derived deserialiser would read NaN back. The manual impl
-        // restores the sentinels.
-        let empty = OnlineStats::new();
-        let json = serde_json::to_string(&empty).expect("serialise");
-        let back: OnlineStats = serde_json::from_str(&json).expect("deserialise");
-        assert_eq!(back.count(), 0);
-        assert_eq!(back.min(), f64::INFINITY);
-        assert_eq!(back.max(), f64::NEG_INFINITY);
-        // And the restored accumulator still works.
-        let mut back = back;
-        back.push(3.0);
-        assert_eq!(back.min(), 3.0);
-        assert_eq!(back.max(), 3.0);
-    }
-
-    #[test]
-    fn online_stats_json_bytes_are_pinned() {
-        let mut s = OnlineStats::new();
-        assert_eq!(
-            serde_json::to_string(&s).unwrap(),
-            r#"{"count":0,"mean":0,"m2":0,"min":null,"max":null}"#
-        );
-        for x in [2.0, 4.0, 9.5] {
-            s.push(x);
-        }
-        assert_eq!(
-            serde_json::to_string(&s).unwrap(),
-            r#"{"count":3,"mean":5.166666666666666,"m2":30.16666666666667,"min":2,"max":9.5}"#
-        );
-    }
-
-    #[test]
-    fn populated_online_stats_roundtrip_through_json() {
-        let mut s = OnlineStats::new();
-        for x in [2.0, 4.0, 9.0] {
-            s.push(x);
-        }
-        let json = serde_json::to_string(&s).expect("serialise");
-        let back: OnlineStats = serde_json::from_str(&json).expect("deserialise");
-        assert_eq!(back.count(), s.count());
-        assert_eq!(back.mean(), s.mean());
-        assert_eq!(back.variance(), s.variance());
-        assert_eq!(back.min(), 2.0);
-        assert_eq!(back.max(), 9.0);
     }
 }

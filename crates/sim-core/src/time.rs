@@ -73,11 +73,6 @@ impl SimTime {
     pub fn max(self, other: SimTime) -> SimTime {
         SimTime(self.0.max(other.0))
     }
-
-    /// The earlier of two instants.
-    pub fn min(self, other: SimTime) -> SimTime {
-        SimTime(self.0.min(other.0))
-    }
 }
 
 impl SimDuration {
@@ -128,11 +123,6 @@ impl SimDuration {
     /// This duration in whole milliseconds (truncating).
     pub fn as_millis(self) -> u64 {
         self.0 / MICROS_PER_MS
-    }
-
-    /// Saturating subtraction.
-    pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_sub(other.0))
     }
 
     /// Multiplies by an integer factor, saturating.
@@ -247,11 +237,10 @@ mod tests {
     }
 
     #[test]
-    fn min_max_helpers() {
+    fn max_helper() {
         let a = SimTime::from_secs(1);
         let b = SimTime::from_secs(2);
         assert_eq!(a.max(b), b);
-        assert_eq!(a.min(b), a);
     }
 
     #[test]
@@ -259,10 +248,6 @@ mod tests {
         assert_eq!(
             SimTime::MAX.saturating_add(SimDuration::from_secs(1)),
             SimTime::MAX
-        );
-        assert_eq!(
-            SimDuration::from_secs(1).saturating_sub(SimDuration::from_secs(2)),
-            SimDuration::ZERO
         );
         assert_eq!(SimDuration::MAX.saturating_mul(3), SimDuration::MAX);
     }

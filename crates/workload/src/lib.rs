@@ -18,8 +18,7 @@
 //! Supporting modules: [`record`] (trace data model), [`popularity`]
 //! (access counting and ranking, the input to EEVFS placement and
 //! prefetching), [`lookahead`] (idle-window extraction used by the power
-//! manager), [`trace_io`] (text/JSON trace serialisation), and
-//! [`transform`] (slice/override/merge — the paper's own trace surgery).
+//! manager), and [`trace_io`] (text/JSON trace serialisation).
 
 #![warn(missing_docs)]
 
@@ -29,7 +28,6 @@ pub mod popularity;
 pub mod record;
 pub mod synthetic;
 pub mod trace_io;
-pub mod transform;
 
 pub use berkeley::{berkeley_web_trace, BerkeleySpec};
 pub use lookahead::idle_windows;

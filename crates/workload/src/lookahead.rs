@@ -75,13 +75,6 @@ pub fn idle_windows(
     out
 }
 
-/// Total idle time across a set of windows.
-pub fn total_idle(windows: &[IdleWindow]) -> SimDuration {
-    windows
-        .iter()
-        .fold(SimDuration::ZERO, |acc, w| acc + w.len())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,7 +104,6 @@ mod tests {
                 },
             ]
         );
-        assert_eq!(total_idle(&ws), SimDuration::from_secs(38));
     }
 
     #[test]

@@ -60,20 +60,6 @@ impl PopularityTable {
         &self.ranked[..k.min(self.ranked.len())]
     }
 
-    /// Popularity rank of a file (0 = most popular).
-    pub fn rank_of(&self, file: FileId) -> usize {
-        // O(n); used in tests and reporting, not hot paths.
-        self.ranked
-            .iter()
-            .position(|&f| f == file)
-            .expect("file outside population")
-    }
-
-    /// Number of files with at least one access.
-    pub fn accessed_files(&self) -> usize {
-        self.counts.iter().filter(|&&c| c > 0).count()
-    }
-
     /// Fraction of all accesses that land on the `k` most popular files —
     /// the quantity that decides how much a K-file prefetch can absorb.
     pub fn coverage_of_top_k(&self, k: usize) -> f64 {
@@ -123,8 +109,7 @@ mod tests {
             &[FileId(1), FileId(3), FileId(0), FileId(2), FileId(4)]
         );
         assert_eq!(p.count(FileId(1)), 9);
-        assert_eq!(p.rank_of(FileId(4)), 4);
-        assert_eq!(p.accessed_files(), 4);
+        assert_eq!(p.count(FileId(4)), 0);
     }
 
     #[test]
@@ -151,7 +136,6 @@ mod tests {
         };
         let p = PopularityTable::from_trace(&t);
         assert_eq!(p.coverage_of_top_k(2), 0.0);
-        assert_eq!(p.accessed_files(), 0);
         // Ranking still total: all files present, ordered by id.
         assert_eq!(p.ranked().len(), 3);
         assert_eq!(p.ranked()[0], FileId(0));

@@ -337,8 +337,8 @@ pub mod collection {
 
 pub mod prelude {
     pub use crate::{
-        any, collection, prop_assert, prop_assert_eq, prop_assert_ne, prop_oneof, proptest, Any,
-        Arbitrary, Just, ProptestConfig, Strategy, TestRng,
+        any, collection, prop_assert, prop_assert_eq, prop_oneof, proptest, Any, Arbitrary, Just,
+        ProptestConfig, Strategy, TestRng,
     };
 }
 
@@ -435,22 +435,6 @@ macro_rules! prop_assert_eq {
                 ::std::format!($($fmt)+),
                 l,
                 r
-            ));
-        }
-    }};
-}
-
-/// Inequality assertion inside a `proptest!` body.
-#[macro_export]
-macro_rules! prop_assert_ne {
-    ($left:expr, $right:expr $(,)?) => {{
-        let (l, r) = (&$left, &$right);
-        if *l == *r {
-            return ::std::result::Result::Err(::std::format!(
-                "assertion failed: `{} != {}`\n  both: {:?}",
-                stringify!($left),
-                stringify!($right),
-                l
             ));
         }
     }};
