@@ -595,7 +595,10 @@ impl Invariant for ShedLedger {
 
 /// With a bounded admission gate the server queue never grows past the
 /// configured inflight cap — the run sheds instead of queueing
-/// unboundedly — and every refused request is visible in the ledger.
+/// unboundedly — and the gate only rejects once its ladder has reached
+/// L3. The converse does not hold: the admission that fills the gate
+/// enters L3, and a gate that drains before the next arrival steps down
+/// without having rejected anything.
 struct BoundedQueue;
 impl Invariant for BoundedQueue {
     fn name(&self) -> &'static str {
@@ -612,9 +615,9 @@ impl Invariant for BoundedQueue {
                 o.queue_peak
             ));
         }
-        if o.max_level >= 3 && o.rejected == 0 {
+        if o.rejected > 0 && o.max_level < 3 {
             return Err(format!(
-                "ladder reached L3 but the gate rejected nothing: {o:?}"
+                "the gate rejected below L3 (a rejection needs a full gate): {o:?}"
             ));
         }
         Ok(())
@@ -700,6 +703,25 @@ mod tests {
         };
         assert!(BoundedQueue.check(&cx).is_err());
         assert!(ShedLedger.check(&cx).is_ok(), "empty ledger still closes");
+        // A rejection the ladder never reached L3 for breaks it too; L3
+        // without a rejection does not.
+        m.overload.queue_peak = 4;
+        m.overload.rejected = 1;
+        m.overload.max_level = 2;
+        let cx = CheckContext {
+            schedule: &s,
+            metrics: &m,
+            second: None,
+        };
+        assert!(BoundedQueue.check(&cx).is_err());
+        m.overload.rejected = 0;
+        m.overload.max_level = 3;
+        let cx = CheckContext {
+            schedule: &s,
+            metrics: &m,
+            second: None,
+        };
+        assert!(BoundedQueue.check(&cx).is_ok());
     }
 
     #[test]

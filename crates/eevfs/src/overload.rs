@@ -166,11 +166,6 @@ impl AdmissionGate {
         self.level
     }
 
-    /// Currently admitted requests.
-    pub fn inflight(&self) -> usize {
-        self.inflight
-    }
-
     /// The ledger so far.
     pub fn stats(&self) -> &OverloadStats {
         &self.stats
@@ -335,6 +330,26 @@ mod tests {
     }
 
     #[test]
+    fn a_gate_that_fills_and_drains_reaches_l3_without_rejecting() {
+        let mut g = AdmissionGate::new(opts());
+        // The admission that fills the gate enters L3.
+        for _ in 0..8 {
+            g.try_admit(5).expect("admit");
+        }
+        assert_eq!((g.inflight, g.level()), (8, 3));
+        // Everything drains before the next arrival, which the ladder
+        // has stepped down for by then.
+        for _ in 0..8 {
+            g.release(Outcome::Completed);
+        }
+        assert_eq!(g.try_admit(5), Ok(()));
+        g.release(Outcome::Completed);
+        let s = *g.stats();
+        assert_eq!((s.max_level, s.rejected), (3, 0));
+        assert!(s.ledger_closes(), "{s:?}");
+    }
+
+    #[test]
     fn ladder_steps_down_only_after_sustained_relief() {
         let mut g = AdmissionGate::new(opts());
         for _ in 0..6 {
@@ -343,7 +358,7 @@ mod tests {
         assert_eq!(g.level(), 2);
         // Occupancy 5 is not below l2_enter - margin = 5: no relief.
         g.release(Outcome::Completed);
-        assert_eq!((g.inflight(), g.level()), (5, 2));
+        assert_eq!((g.inflight, g.level()), (5, 2));
         // Draining below the margin starts the relief count; only three
         // consecutive observations step down, and by exactly one level.
         g.release(Outcome::Completed); // inflight 4: relief 1 (4 < 6-1)

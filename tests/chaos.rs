@@ -4,8 +4,9 @@
 //! default severity envelope.
 
 use eevfs_chaos::{
-    check_schedule, generate_schedule, replay, run_campaign, CampaignConfig, InvariantSet,
-    ParallelMap, ScenarioReport, SerialPool, SeverityEnvelope,
+    check_schedule, execute, generate_schedule, replay, run_campaign, CampaignConfig,
+    ChaosSchedule, InvariantSet, ParallelMap, RunOutcome, ScenarioReport, SerialPool,
+    SeverityEnvelope,
 };
 
 /// A pool that evaluates indices in reverse order on the calling thread —
@@ -108,4 +109,42 @@ fn scenario_checks_are_reproducible() {
         let b = check_schedule(&s, &invariants, i % 2 == 0);
         assert_eq!(a, b, "scenario {i}");
     }
+}
+
+/// Scenario 114 of `harness --seed 1 chaos --scenarios 300 --envelope
+/// overloaded`, shrunk to its one partition event. Its gate (cap 5) fills
+/// on an admission, which enters L3, and drains before the next arrival,
+/// so the ladder reaches L3 while rejecting nothing. That is legal, and
+/// `bounded-queue` must not report it.
+const GATE_FILLS_AND_DRAINS: &str = r#"{
+  "seed": 3912461262301727819,
+  "requests": 49,
+  "replication": 3,
+  "scrub": false,
+  "power_kind": 0,
+  "spin_cap": null,
+  "policy_kind": 1,
+  "overload": 5,
+  "faults": [],
+  "net": [{"at": 1466566, "kind": {"LinkDown": {"link": 4}}}],
+  "corruption": [],
+  "crashes": [],
+  "profile": {
+    "seed": 10824778686089814150,
+    "drop_prob": 0,
+    "reset_prob": 0,
+    "delay_prob": 0,
+    "mean_delay": 2000000
+  }
+}"#;
+
+#[test]
+fn l3_without_a_rejection_is_not_a_violation() {
+    let s: ChaosSchedule = serde_json::from_str(GATE_FILLS_AND_DRAINS).expect("parse schedule");
+    let RunOutcome::Done(m) = execute(&s) else {
+        panic!("scenario must complete");
+    };
+    assert_eq!((m.overload.max_level, m.overload.rejected), (3, 0));
+    let violations = check_schedule(&s, &InvariantSet::standard(), true);
+    assert!(violations.is_empty(), "violations: {violations:?}");
 }
