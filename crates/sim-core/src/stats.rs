@@ -8,7 +8,7 @@
 use serde::{Deserialize, Serialize};
 
 /// Running count, mean (Welford's update) and maximum.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct OnlineStats {
     count: u64,
     mean: f64,
@@ -50,6 +50,12 @@ impl OnlineStats {
     /// Largest observation (`-inf` when empty).
     pub fn max(&self) -> f64 {
         self.max
+    }
+}
+
+impl Default for OnlineStats {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -218,6 +224,9 @@ mod tests {
         assert_eq!(s.count(), 0);
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.max(), f64::NEG_INFINITY);
+        let mut d = OnlineStats::default();
+        d.push(-5.0);
+        assert_eq!(d.max(), -5.0, "the default is the empty accumulator");
     }
 
     #[test]
